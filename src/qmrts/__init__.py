@@ -11,11 +11,11 @@ the transmitter-displacement sweep experiment.
 
 __version__ = "0.1.0"
 
-from .scenario import (C0, AngleGrid, ChirpConfig, ConfigError,
-                       RadarArrayConfig, RtsChannelConfig, Scenario,
-                       ValidationError, emit_scenario, load_scenario,
-                       load_scenario_file, rts_displacement, with_theta_tx)
-from .propagation import PathDelays, far_field_distance, path_delays
+from .propagation import C0, element_delays, far_field_distance
+from .scenario import (AngleGrid, ChirpConfig, ConfigError, RadarArrayConfig,
+                       RtsChannelConfig, Scenario, ValidationError,
+                       emit_scenario, load_scenario, load_scenario_file,
+                       rts_displacement, with_theta_tx)
 from .signal_chain import (BeatCube, RangeSpectrum, bin_phase_frequency_scale,
                            detected_bin_phase, expected_bin_phase, range_dft,
                            synthesize_beat, write_beat_csv, write_range_csv)
@@ -36,7 +36,7 @@ __all__ = [
     "C0", "AngleGrid", "ChirpConfig", "ConfigError", "RadarArrayConfig",
     "RtsChannelConfig", "Scenario", "ValidationError", "emit_scenario",
     "load_scenario", "load_scenario_file", "rts_displacement", "with_theta_tx",
-    "PathDelays", "far_field_distance", "path_delays",
+    "element_delays", "far_field_distance",
     "BeatCube", "RangeSpectrum", "bin_phase_frequency_scale",
     "detected_bin_phase", "expected_bin_phase", "range_dft",
     "synthesize_beat", "write_beat_csv", "write_range_csv",

@@ -8,12 +8,12 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import write_csv
 from .scenario import Scenario
 from .signal_chain import RangeSpectrum
 
@@ -52,15 +52,19 @@ def _parabolic_vertex(x: np.ndarray, y: np.ndarray) -> float:
     return float(x[1] - b / (2.0 * a))
 
 
-def _grid_peak(values: np.ndarray) -> int:
+def _peak(angles_rad: np.ndarray, mag: np.ndarray) -> tuple[int, float]:
+    """Grid index of the largest magnitude and the sub-grid peak angle.
+
+    The angle is the vertex of the parabola through the power |mag|^2 of
+    the maximum and its two neighbours, taken in sin(alpha); a maximum on
+    the grid edge falls back to its grid angle.
+    """
     # np.argmax takes the first maximum: smallest angle wins ties.
-    return int(np.argmax(np.abs(values)))
-
-
-def _refined_angle(angles_rad: np.ndarray, values: np.ndarray, k: int) -> float:
+    k = int(np.argmax(mag))
+    if not 0 < k < angles_rad.size - 1:
+        return k, float(angles_rad[k])
     u = np.sin(angles_rad[k - 1:k + 2])
-    p = np.abs(values[k - 1:k + 2]) ** 2
-    return math.asin(_parabolic_vertex(u, p))
+    return k, math.asin(_parabolic_vertex(u, mag[k - 1:k + 2] ** 2))
 
 
 def beamform(r: RangeSpectrum, s: Scenario) -> AngleSpectrum:
@@ -74,11 +78,7 @@ def beamform(r: RangeSpectrum, s: Scenario) -> AngleSpectrum:
         for j in range(mrx):
             pos = r.tx_positions_m[i] + r.rx_positions_m[j]
             out += r.peak_values[i, j] * np.exp(-2j * np.pi * pos * sin_a / lam)
-    k = _grid_peak(out)
-    if 0 < k < angles.size - 1:
-        peak_angle = _refined_angle(angles, out, k)
-    else:
-        peak_angle = float(angles[k])
+    k, peak_angle = _peak(angles, np.abs(out))
     return AngleSpectrum(angles_rad=angles, values=out, peak_index=k,
                          peak_angle_rad=peak_angle, peak_value=complex(out[k]))
 
@@ -94,7 +94,7 @@ def refine_peak(a: AngleSpectrum) -> float:
         raise PeakAtBoundaryError(
             f"spectrum peak at grid boundary ({math.degrees(a.angles_rad[k]):.4g} deg); "
             "widen the angle grid")
-    return _refined_angle(a.angles_rad, a.values, k)
+    return a.peak_angle_rad
 
 
 def select_subset(r: RangeSpectrum, ntx_keep, nrx_keep) -> RangeSpectrum:
@@ -148,9 +148,6 @@ def unit_phasor_spectrum(s: Scenario) -> RangeSpectrum:
 def write_angle_csv(a: AngleSpectrum, path) -> None:
     """Dump the angle spectrum: columns alpha_deg, re, im, mag_db."""
     mag = np.maximum(np.abs(a.values), 1e-30)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["alpha_deg", "re", "im", "mag_db"])
-        for ang, v, m in zip(a.angles_rad, a.values, mag):
-            w.writerow([f"{math.degrees(ang):.9g}", f"{v.real:.9g}",
-                        f"{v.imag:.9g}", f"{20.0 * math.log10(m):.9g}"])
+    write_csv(path, {"alpha_deg": np.degrees(a.angles_rad),
+                     "re": a.values.real, "im": a.values.imag,
+                     "mag_db": [20.0 * math.log10(m) for m in mag.tolist()]})

@@ -13,54 +13,54 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .beamformer import (beamform, select_subset, unit_phasor_spectrum,
-                         write_angle_csv)
+from .beamformer import beamform, unit_phasor_spectrum, write_angle_csv
 from .closed_form import (AMBIGUITY_GAP_DB, closed_form_phase,
                           closed_form_spectrum, peak_separation_db,
                           predicted_peak, write_closed_form_csv)
 from .experiment import AntennaSubset, emit_results, load_sweep_spec, run_sweep
 from .propagation import far_field_distance
 from .scenario import (AngleGrid, ConfigError, Scenario, ValidationError,
-                       load_scenario_file)
+                       parse_config, rts_displacement, scenario_from_config)
 from .signal_chain import range_dft, synthesize_beat, write_range_csv
 
 # Pairwise detected-angle agreement gate for the exact model levels [deg].
 COMPARE_TOLERANCE_DEG = 0.02
 
 
-def _load(args) -> Scenario:
-    path = Path(args.config)
+def _read_config(path: Path) -> str:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    s = load_scenario_file(path)
+    return path.read_text(encoding="utf-8")
+
+
+def _load(args) -> Scenario:
+    """Scenario of the config file with the grid override applied,
+    validated once; its warnings are printed."""
+    s = scenario_from_config(parse_config(_read_config(Path(args.config))))
     if args.grid_step_deg is not None:
         grid = AngleGrid.from_degrees(math.degrees(s.grid.min_rad),
                                       math.degrees(s.grid.max_rad),
                                       args.grid_step_deg)
         s = replace(s, grid=grid)
-        s.validate()
+    for msg in s.validate():
+        print(f"warning: {msg}")
     return s
 
 
 def _apply_subset(rspec, s, label):
     if label is None:
         return rspec, s
-    sub = AntennaSubset.from_label(label, s.array.ntx, s.array.nrx)
-    array = replace(s.array, ntx=len(sub.tx_keep), nrx=len(sub.rx_keep))
-    return select_subset(rspec, sub.tx_keep, sub.rx_keep), replace(s, array=array)
+    return AntennaSubset.from_label(label, s.array.ntx, s.array.nrx).apply(rspec, s)
 
 
 def cmd_validate(args) -> int:
     path = Path(args.config)
-    if not path.is_file():
-        print(f"fail: config file not found: {path}", file=sys.stderr)
-        return 1
     try:
-        s = load_scenario_file(path)
+        s = scenario_from_config(parse_config(_read_config(path)))
+        warnings = s.validate()
     except (ConfigError, ValidationError) as exc:
         print(f"fail: {exc}", file=sys.stderr)
         return 1
-    warnings = s.validate()
     fs = s.sample_rate_hz
     fb = s.max_beat_frequency_hz()
     print(f"scenario: {path}")
@@ -68,7 +68,7 @@ def cmd_validate(args) -> int:
     print(f"  sample rate       {fs:.6g} Hz")
     print(f"  max beat freq     {fb:.6g} Hz (Nyquist margin {fs / 2 - fb:.6g} Hz)")
     print(f"  far-field bound   {far_field_distance(s):.6g} m (rc_m = {s.rts.rc_m:.6g} m)")
-    print(f"  displacement      {s.rts.rc_m * (math.sin(s.rts.theta_tx_rad) - math.sin(s.rts.theta_rx_rad)):.6g} m")
+    print(f"  displacement      {rts_displacement(s):.6g} m")
     for msg in warnings:
         print(f"  warning: {msg}")
     print("status: warn" if warnings else "status: pass")
@@ -77,8 +77,6 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     s = _load(args)
-    for msg in s.validate():
-        print(f"warning: {msg}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -113,10 +111,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    path = Path(args.config)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    spec = load_sweep_spec(path.read_text(encoding="utf-8"))
+    spec = load_sweep_spec(_read_config(Path(args.config)))
     if args.no_range_compensation:
         spec = replace(spec, range_compensation=False)
     rows = run_sweep(spec)
@@ -132,8 +127,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     s = _load(args)
-    for msg in s.validate():
-        print(f"warning: {msg}")
     rspec = range_dft(synthesize_beat(s))
     rsub, ssub = _apply_subset(rspec, s, args.subset)
 

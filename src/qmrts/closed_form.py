@@ -16,15 +16,15 @@ its peak toward the receiver for the wide-spaced two-element TX array.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import diric
 
-from .beamformer import _parabolic_vertex
-from .scenario import Scenario, C0
+from ._csvio import write_csv
+from .beamformer import _peak
+from .propagation import C0
+from .scenario import Scenario
 
 MODES = ("sinc", "dirichlet")
 
@@ -44,8 +44,14 @@ class ClosedFormSpectrum:
 
 def _kernel(n: int, d_m: float, u: np.ndarray, lam: float, mode: str) -> np.ndarray:
     if mode == "dirichlet":
-        # diric(x, n) = sin(n*x/2) / (n*sin(x/2)), singularities handled.
-        return np.abs(diric(2.0 * np.pi * d_m * u / lam, n))
+        # sin(n*x/2) / (n*sin(x/2)) with x = 2*pi*d*u/lambda.  Where
+        # |sin(x/2)| < 1e-7 (the float64 cutoff of scipy.special.diric)
+        # the removable singularity has magnitude 1.
+        half = np.pi * d_m * u / lam
+        den = np.sin(half)
+        out = np.ones_like(half)
+        np.divide(np.sin(n * half), n * den, out=out, where=np.abs(den) >= 1e-7)
+        return np.abs(out)
     if mode == "sinc":
         return np.abs(np.sinc(d_m * n * u / lam))
     raise ValueError(f"mode must be one of {MODES} (got {mode!r})")
@@ -95,16 +101,8 @@ def predicted_peak(s: Scenario, mode: str) -> float:
     centroid of the two kernel centers; the numerical argmax is used
     because no closed-form peak location exists.
     """
-    g = s.grid
-    step = math.radians(FINE_STEP_DEG)
-    n = int(round((g.max_rad - g.min_rad) / step)) + 1
-    angles = np.linspace(g.min_rad, g.max_rad, n)
-    mag = spectrum_magnitude(s, angles, mode)
-    k = int(np.argmax(mag))
-    if k == 0 or k == n - 1:
-        return float(angles[k])
-    u = np.sin(angles[k - 1:k + 2])
-    return math.asin(_parabolic_vertex(u, mag[k - 1:k + 2] ** 2))
+    angles = replace(s.grid, step_rad=math.radians(FINE_STEP_DEG)).angles_rad()
+    return _peak(angles, spectrum_magnitude(s, angles, mode))[1]
 
 
 def peak_separation_db(s: Scenario, mode: str = "dirichlet",
@@ -115,10 +113,7 @@ def peak_separation_db(s: Scenario, mode: str = "dirichlet",
     wide-spaced array competing with the main lobe).  Returns +inf when
     the spectrum has fewer than two local maxima.
     """
-    g = s.grid
-    step = math.radians(step_deg)
-    n = int(round((g.max_rad - g.min_rad) / step)) + 1
-    angles = np.linspace(g.min_rad, g.max_rad, n)
+    angles = replace(s.grid, step_rad=math.radians(step_deg)).angles_rad()
     mag = spectrum_magnitude(s, angles, mode)
     interior = np.where((mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:]))[0] + 1
     peaks = sorted(mag[interior], reverse=True)
@@ -140,12 +135,9 @@ def ambiguous_peak(s: Scenario, mode: str = "dirichlet") -> bool:
 
 def write_closed_form_csv(cf: ClosedFormSpectrum, path) -> None:
     """Dump spectrum: columns alpha_deg, re, im, mag_db, mode."""
-    phasor = complex(math.cos(cf.phase_rad), math.sin(cf.phase_rad))
+    v = cf.magnitude * complex(math.cos(cf.phase_rad), math.sin(cf.phase_rad))
     mag = np.maximum(cf.magnitude, 1e-30)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["alpha_deg", "re", "im", "mag_db", "mode"])
-        for ang, m, mm in zip(cf.angles_rad, cf.magnitude, mag):
-            v = m * phasor
-            w.writerow([f"{math.degrees(ang):.9g}", f"{v.real:.9g}",
-                        f"{v.imag:.9g}", f"{20.0 * math.log10(mm):.9g}", cf.mode])
+    write_csv(path, {"alpha_deg": np.degrees(cf.angles_rad),
+                     "re": v.real, "im": v.imag,
+                     "mag_db": [20.0 * math.log10(m) for m in mag.tolist()],
+                     "mode": [cf.mode] * cf.angles_rad.size})

@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from ._csvio import write_csv
 from .beamformer import beamform, select_subset
 from .closed_form import predicted_peak
-from .scenario import (ConfigError, Scenario, ValidationError, load_scenario,
-                       parse_config, with_theta_tx)
-from .signal_chain import range_dft, synthesize_beat
+from .scenario import (ConfigError, Scenario, ValidationError, parse_config,
+                       scenario_from_config, with_theta_tx)
+from .signal_chain import RangeSpectrum, range_dft, synthesize_beat
 
 SWEEP_DEFAULTS = {"d_max_m": 0.1, "points": 51,
                   "subsets": "2x4, 2x2, 1x4", "range_compensation": True}
@@ -47,6 +48,12 @@ class AntennaSubset:
                 f'subset "{label}" exceeds the array size {ntx}x{nrx}')
         return cls(label=f"{mtx}x{mrx}", tx_keep=tuple(range(mtx)),
                    rx_keep=tuple(range(mrx)))
+
+    def apply(self, r: RangeSpectrum, s: Scenario) -> tuple[RangeSpectrum, Scenario]:
+        """Cut the kept elements from r, and shrink s's array to match."""
+        array = replace(s.array, ntx=len(self.tx_keep), nrx=len(self.rx_keep))
+        return (select_subset(r, self.tx_keep, self.rx_keep),
+                replace(s, array=array))
 
 
 @dataclass(frozen=True)
@@ -106,11 +113,6 @@ def displacement_to_theta_tx(theta_rx_rad: float, d_m: float, rc_m: float) -> fl
     return math.asin(arg)
 
 
-def _subset_scenario(s: Scenario, sub: AntennaSubset) -> Scenario:
-    array = replace(s.array, ntx=len(sub.tx_keep), nrx=len(sub.rx_keep))
-    return replace(s, array=array)
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Process every (displacement point x antenna subset).
 
@@ -133,10 +135,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             cube = synthesize_beat(point)
             rspec = range_dft(cube)
             for sub in spec.subsets:
-                asp = beamform(select_subset(rspec, sub.tx_keep, sub.rx_keep), point)
-                full_deg = math.degrees(asp.peak_angle_rad)
-                cf_deg = math.degrees(predicted_peak(_subset_scenario(point, sub),
-                                                     "dirichlet"))
+                rsub, ssub = sub.apply(rspec, point)
+                full_deg = math.degrees(beamform(rsub, ssub).peak_angle_rad)
+                cf_deg = math.degrees(predicted_peak(ssub, "dirichlet"))
                 rows.append(SweepRow(
                     d_rts_m=d,
                     theta_rx_deg=math.degrees(theta_rx),
@@ -163,18 +164,10 @@ def emit_results(rows: list[SweepRow], destination) -> None:
     """Write sweep rows as CSV (floats at 9 significant digits)."""
     if not rows:
         raise ValueError("no sweep rows to emit")
-    with open(destination, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        for r in rows:
-            w.writerow([
-                f"{r.d_rts_m:.9g}", f"{r.theta_rx_deg:.9g}",
-                f"{r.theta_tx_deg:.9g}", r.subset,
-                f"{r.detected_fullchain_deg:.9g}",
-                f"{r.detected_closedform_deg:.9g}",
-                f"{r.deviation_deg:.9g}",
-                "true" if r.range_compensated else "false",
-            ])
+    columns = {name: [getattr(r, name) for r in rows] for name in CSV_HEADER}
+    columns["range_compensated"] = [
+        "true" if r.range_compensated else "false" for r in rows]
+    write_csv(destination, columns)
 
 
 def read_results(path) -> list[SweepRow]:
@@ -208,9 +201,10 @@ def _parse_bool(raw: str, key: str) -> bool:
 
 def load_sweep_spec(text: str, base: Scenario | None = None) -> SweepSpec:
     """Build a SweepSpec from a config document with a [sweep] section."""
-    if base is None:
-        base = load_scenario(text)
     sections = parse_config(text)
+    if base is None:
+        base = scenario_from_config(sections)
+        base.validate()
     if "sweep" not in sections:
         raise ConfigError("missing section [sweep]")
     sw = dict(SWEEP_DEFAULTS)

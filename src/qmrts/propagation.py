@@ -8,49 +8,34 @@ antenna (return leg); the two angles cross-couple deliberately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .scenario import C0
+import numpy as np
 
 if TYPE_CHECKING:
     from .scenario import Scenario
 
-
-@dataclass(frozen=True)
-class PathDelays:
-    """Delays of one virtual element."""
-
-    tau_tx_s: float    # radar TX element -> RTS receiver
-    tau_rx_s: float    # RTS transmitter -> radar RX element
-    tau_rts_s: float   # RTS internal delay
-
-    @property
-    def tau_c_s(self) -> float:
-        """Free-space round trip."""
-        return self.tau_tx_s + self.tau_rx_s
-
-    @property
-    def tau_s(self) -> float:
-        """Total delay between transmitted and received signal."""
-        return self.tau_c_s + self.tau_rts_s
+# Speed of light, exact SI value [m/s].
+C0 = 299_792_458.0
 
 
-def path_delays(s: "Scenario", ntx: int, nrx: int) -> PathDelays:
-    """Propagation delays seen by virtual element (ntx, nrx).
+def element_delays(s: "Scenario") -> tuple[np.ndarray, np.ndarray]:
+    """One-way delays of every TX element (Ntx, 1) and RX element (1, Nrx).
 
-    tau_tx = (Rc + dtx*ntx*sin(theta_rx)) / c0
-    tau_rx = (Rc + extra + drx*nrx*sin(theta_tx)) / c0
+    tau_tx[i] = (Rc + dtx*i*sin(theta_rx)) / c0
+    tau_rx[j] = (Rc + extra + drx*j*sin(theta_tx)) / c0
+
+    They broadcast to the virtual array: the free-space round trip of
+    element (i, j) is tau_tx + tau_rx, and the total delay adds the RTS
+    internal delay tau_rts_s.
     """
     a, r = s.array, s.rts
-    if not 0 <= ntx < a.ntx:
-        raise IndexError(f"ntx index {ntx} out of range [0, {a.ntx})")
-    if not 0 <= nrx < a.nrx:
-        raise IndexError(f"nrx index {nrx} out of range [0, {a.nrx})")
+    ntx = np.arange(a.ntx, dtype=float)[:, None]
+    nrx = np.arange(a.nrx, dtype=float)[None, :]
     tau_tx = (r.rc_m + a.dtx_m * ntx * math.sin(r.theta_rx_rad)) / C0
     tau_rx = (r.rc_m + r.extra_return_path_m
               + a.drx_m * nrx * math.sin(r.theta_tx_rad)) / C0
-    return PathDelays(tau_tx_s=tau_tx, tau_rx_s=tau_rx, tau_rts_s=r.tau_rts_s)
+    return tau_tx, tau_rx
 
 
 def far_field_distance(s: "Scenario") -> float:

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# Speed of light, exact SI value [m/s].
-C0 = 299_792_458.0
+from .propagation import C0, element_delays, far_field_distance
 
 
 class ConfigError(ValueError):
@@ -119,11 +118,8 @@ class Scenario:
 
     def max_total_delay_s(self) -> float:
         """Largest per-element total delay in this scenario."""
-        a, r = self.array, self.rts
-        out = (r.rc_m + a.dtx_m * (a.ntx - 1) * max(0.0, math.sin(r.theta_rx_rad))) / C0
-        back = (r.rc_m + r.extra_return_path_m
-                + a.drx_m * (a.nrx - 1) * max(0.0, math.sin(r.theta_tx_rad))) / C0
-        return out + back + r.tau_rts_s
+        tau_tx, tau_rx = element_delays(self)
+        return float(tau_tx.max()) + float(tau_rx.max()) + self.rts.tau_rts_s
 
     def max_beat_frequency_hz(self) -> float:
         return (self.chirp.b_hz / self.chirp.t_s) * self.max_total_delay_s()
@@ -136,56 +132,59 @@ class Scenario:
         advisory so the violation regime can still be studied).
         """
         c, a, r, g = self.chirp, self.array, self.rts, self.grid
-        if not c.fc_hz > 0:
-            raise ValidationError(f"fc_hz must be > 0 (got {c.fc_hz})")
-        if not c.b_hz > 0:
-            raise ValidationError(f"b_hz must be > 0 (got {c.b_hz})")
-        if not c.t_s > 0:
-            raise ValidationError(f"t_s must be > 0 (got {c.t_s})")
-        if c.ns < 2:
-            raise ValidationError(f"ns must be >= 2 (got {c.ns})")
-        if a.ntx < 1:
-            raise ValidationError(f"ntx must be >= 1 (got {a.ntx})")
-        if a.nrx < 1:
-            raise ValidationError(f"nrx must be >= 1 (got {a.nrx})")
-        if not a.dtx_m > 0:
-            raise ValidationError(f"dtx must be > 0 (got {a.dtx_m})")
-        if not a.drx_m > 0:
-            raise ValidationError(f"drx must be > 0 (got {a.drx_m})")
-        if not r.rc_m > 0:
-            raise ValidationError(f"rc_m must be > 0 (got {r.rc_m})")
+        # Every check below is written so that NaN fails it.
+        for name, value in (
+                ("fc_hz", c.fc_hz), ("b_hz", c.b_hz), ("t_s", c.t_s),
+                ("dtx", a.dtx_m), ("drx", a.drx_m), ("rc_m", r.rc_m),
+                ("theta_rx_deg", r.theta_rx_rad), ("theta_tx_deg", r.theta_tx_rad),
+                ("tau_rts_s", r.tau_rts_s), ("f_rts_hz", r.f_rts_hz),
+                ("amplitude", r.amplitude),
+                ("extra_return_path_m", r.extra_return_path_m),
+                ("angle_min_deg", g.min_rad), ("angle_max_deg", g.max_rad),
+                ("angle_step_deg", g.step_rad)):
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite (got {value})")
+        for name, value in (("fc_hz", c.fc_hz), ("b_hz", c.b_hz), ("t_s", c.t_s),
+                            ("dtx", a.dtx_m), ("drx", a.drx_m), ("rc_m", r.rc_m),
+                            ("amplitude", r.amplitude)):
+            if not value > 0:
+                raise ValidationError(f"{name} must be > 0 (got {value})")
+        for name, value, low in (("ns", c.ns, 2), ("ntx", a.ntx, 1), ("nrx", a.nrx, 1),
+                                 ("tau_rts_s", r.tau_rts_s, 0),
+                                 ("f_rts_hz", r.f_rts_hz, 0)):
+            if not value >= low:
+                raise ValidationError(f"{name} must be >= {low} (got {value})")
         half_pi = math.pi / 2
-        if not -half_pi <= r.theta_rx_rad <= half_pi:
-            raise ValidationError(
-                f"theta_rx_deg out of [-90, 90] (got {math.degrees(r.theta_rx_rad)})")
-        if not -half_pi <= r.theta_tx_rad <= half_pi:
-            raise ValidationError(
-                f"theta_tx_deg out of [-90, 90] (got {math.degrees(r.theta_tx_rad)})")
-        if r.tau_rts_s < 0:
-            raise ValidationError(f"tau_rts_s must be >= 0 (got {r.tau_rts_s})")
-        if r.f_rts_hz < 0:
-            raise ValidationError(f"f_rts_hz must be >= 0 (got {r.f_rts_hz})")
-        if not r.amplitude > 0:
-            raise ValidationError(f"amplitude must be > 0 (got {r.amplitude})")
-        if r.rc_m + r.extra_return_path_m <= 0:
+        for name, theta in (("theta_rx_deg", r.theta_rx_rad),
+                            ("theta_tx_deg", r.theta_tx_rad)):
+            if not -half_pi <= theta <= half_pi:
+                raise ValidationError(
+                    f"{name} out of [-90, 90] (got {math.degrees(theta)})")
+        if not r.rc_m + r.extra_return_path_m > 0:
             raise ValidationError("return path length must be > 0")
         if not g.step_rad > 0:
             raise ValidationError("angle_step_deg must be > 0")
         if not g.min_rad < g.max_rad:
             raise ValidationError("angle_min_deg must be < angle_max_deg")
         eps = 1e-12
-        if g.min_rad < -half_pi - eps or g.max_rad > half_pi + eps:
+        if not (g.min_rad >= -half_pi - eps and g.max_rad <= half_pi + eps):
             raise ValidationError("angle grid must lie within [-90, 90] deg")
+        # A step that does not divide the span would be silently stretched
+        # by linspace to fit.
+        steps = (g.max_rad - g.min_rad) / g.step_rad
+        if not abs(steps - round(steps)) <= 1e-9 * steps:
+            raise ValidationError(
+                f"angle_step_deg = {math.degrees(g.step_rad):.9g} does not divide "
+                f"the angle span of {math.degrees(g.max_rad - g.min_rad):.9g} deg")
 
         fs = self.sample_rate_hz
         fb = self.max_beat_frequency_hz()
-        if fs <= 2.0 * fb:
+        if not fs > 2.0 * fb:
             raise ValidationError(
                 f"sample rate {fs:.6g} Hz does not exceed twice the maximum beat "
                 f"frequency {fb:.6g} Hz; increase ns or reduce delays")
 
         warnings = []
-        from .propagation import far_field_distance
         ff = far_field_distance(self)
         if r.rc_m < ff:
             warnings.append(
@@ -266,9 +265,8 @@ def _resolve_spacing(values: dict, name: str, wavelength_m: float) -> float:
     return values[key_m] if has_m else values[key_l] * wavelength_m
 
 
-def load_scenario(text: str) -> Scenario:
-    """Build and validate a Scenario from a config document."""
-    sections = parse_config(text)
+def scenario_from_config(sections: dict[str, dict[str, object]]) -> Scenario:
+    """Build a Scenario from parse_config output; invariants are not checked."""
     for required in ("chirp", "array", "rts"):
         if required not in sections:
             raise ConfigError(f"missing section [{required}]")
@@ -306,7 +304,12 @@ def load_scenario(text: str) -> Scenario:
         gr.get("angle_step_deg", 0.01),
     )
 
-    scenario = Scenario(chirp=chirp, array=array, rts=rts, grid=grid)
+    return Scenario(chirp=chirp, array=array, rts=rts, grid=grid)
+
+
+def load_scenario(text: str) -> Scenario:
+    """Build and validate a Scenario from a config document."""
+    scenario = scenario_from_config(parse_config(text))
     scenario.validate()
     return scenario
 

@@ -9,13 +9,13 @@ than an idealization.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import path_delays
+from ._csvio import write_csv
+from .propagation import element_delays
 from .scenario import Scenario
 
 
@@ -63,10 +63,8 @@ def synthesize_beat(s: Scenario) -> BeatCube:
     a = s.array
     fs = s.sample_rate_hz
 
-    tau_c = np.empty((a.ntx, a.nrx))
-    for i in range(a.ntx):
-        for j in range(a.nrx):
-            tau_c[i, j] = path_delays(s, i, j).tau_c_s
+    tau_tx, tau_rx = element_delays(s)
+    tau_c = tau_tx + tau_rx
     tau = tau_c + r.tau_rts_s
 
     slope = c.b_hz / c.t_s
@@ -108,12 +106,15 @@ def range_dft(b: BeatCube, zero_pad: int = 1) -> RangeSpectrum:
 
 def detected_bin_phase(r: RangeSpectrum, ntx: int, nrx: int) -> float:
     """Argument of element (ntx, nrx) at the detected bin, in (-pi, pi]."""
-    mtx, mrx = r.peak_values.shape
-    if not 0 <= ntx < mtx:
-        raise IndexError(f"ntx index {ntx} out of range [0, {mtx})")
-    if not 0 <= nrx < mrx:
-        raise IndexError(f"nrx index {nrx} out of range [0, {mrx})")
+    _check_element(ntx, nrx, r.peak_values.shape)
     return float(np.angle(r.peak_values[ntx, nrx]))
+
+
+def _check_element(ntx: int, nrx: int, shape: tuple[int, int]) -> None:
+    # Explicit, because a negative index would silently wrap.
+    for name, i, n in (("ntx", ntx, shape[0]), ("nrx", nrx, shape[1])):
+        if not 0 <= i < n:
+            raise IndexError(f"{name} index {i} out of range [0, {n})")
 
 
 def expected_bin_phase(s: Scenario, ntx: int, nrx: int, f_r: float,
@@ -127,11 +128,13 @@ def expected_bin_phase(s: Scenario, ntx: int, nrx: int, f_r: float,
     prediction (the two differ by 2*pi*(B/(2T))*tau^2 radians).
     """
     c, r = s.chirp, s.rts
-    d = path_delays(s, ntx, nrx)
-    cycles = c.fc_hz * d.tau_c_s + r.f_rts_hz * r.tau_rts_s \
-        + 0.5 * (c.b_hz * d.tau_s - f_r)
+    _check_element(ntx, nrx, (s.array.ntx, s.array.nrx))
+    tau_tx, tau_rx = element_delays(s)
+    tau_c = float(tau_tx[ntx, 0] + tau_rx[0, nrx])
+    tau = tau_c + r.tau_rts_s
+    cycles = c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s + 0.5 * (c.b_hz * tau - f_r)
     if include_rvp:
-        cycles -= (c.b_hz / (2.0 * c.t_s)) * d.tau_s**2
+        cycles -= (c.b_hz / (2.0 * c.t_s)) * tau**2
     return 2.0 * math.pi * (cycles % 1.0)
 
 
@@ -157,12 +160,7 @@ def write_range_csv(r: RangeSpectrum, path) -> None:
 
 
 def _write_cube_csv(cube: np.ndarray, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["ntx", "nrx", "n_or_k", "re", "im"])
-        mtx, mrx, n = cube.shape
-        for i in range(mtx):
-            for j in range(mrx):
-                col = cube[i, j]
-                for k in range(n):
-                    w.writerow([i, j, k, f"{col[k].real:.9g}", f"{col[k].imag:.9g}"])
+    ntx, nrx, k = np.indices(cube.shape).reshape(3, -1)
+    flat = cube.reshape(-1)
+    write_csv(path, {"ntx": ntx, "nrx": nrx, "n_or_k": k,
+                     "re": flat.real, "im": flat.imag})

@@ -7,6 +7,7 @@ import pytest
 from qmrts import (AngleGrid, AngleSpectrum, PeakAtBoundaryError, beamform,
                    predicted_peak, range_dft, refine_peak, select_subset,
                    synthesize_beat, unit_phasor_spectrum, write_angle_csv)
+from qmrts.beamformer import _peak
 from conftest import build_scenario, on_bin_tau_rts
 
 DEG = math.degrees
@@ -74,6 +75,7 @@ def test_refine_symmetric_triple_is_exact():
                       values=np.array([0.5, 1.0, 0.5], dtype=complex),
                       peak_index=1, peak_angle_rad=0.0, peak_value=1.0 + 0j)
     assert refine_peak(a) == 0.0
+    assert _peak(angles, np.abs(a.values)) == (1, 0.0)
 
 
 def test_refine_peak_boundary_raises():

@@ -57,6 +57,13 @@ def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.cfg")]) == 1
 
 
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+def test_grid_step_override_must_divide_span(cfg_path, tmp_path, capsys, command):
+    out = [str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, str(cfg_path), *out, "--grid-step-deg", "0.07"]) == 1
+    assert "angle_step_deg" in capsys.readouterr().err
+
+
 def test_simulate_boresight_summary(tmp_path, capsys):
     path = tmp_path / "bore.cfg"
     path.write_text(BASELINE_CFG.replace("theta_tx_deg = 2.0",

@@ -1,81 +1,102 @@
 import math
 
+import numpy as np
 import pytest
 
-from qmrts import C0, far_field_distance, path_delays
+from qmrts import (C0, element_delays, expected_bin_phase, far_field_distance,
+                   with_theta_tx)
 from conftest import build_scenario
 
 
 def test_zero_index_reduces_to_arc_radius(boresight):
-    d = path_delays(boresight, 0, 0)
-    assert d.tau_tx_s == 1.0 / C0
-    assert d.tau_rx_s == 1.0 / C0
-    assert d.tau_tx_s == pytest.approx(3.3356409519815204e-9, abs=1e-18)
-    assert d.tau_c_s == pytest.approx(2.0 / C0, rel=1e-15)
+    tau_tx, tau_rx = element_delays(boresight)
+    assert tau_tx[0, 0] == 1.0 / C0
+    assert tau_rx[0, 0] == 1.0 / C0
+    assert tau_tx[0, 0] == pytest.approx(3.3356409519815204e-9, abs=1e-18)
+    assert tau_tx[0, 0] + tau_rx[0, 0] == pytest.approx(2.0 / C0, rel=1e-15)
 
 
 def test_outbound_delay_hand_value():
     # 77 GHz, dtx = 2*lambda, ntx = 1, theta_rx = 10 deg, Rc = 1 m:
     # (1 + 0.0077868 * sin(10 deg)) / c0
     s = build_scenario(theta_rx_deg=10.0)
-    d = path_delays(s, 1, 0)
-    assert d.tau_tx_s == pytest.approx(3.340151294258584e-9, abs=1e-18)
+    tau_tx, _ = element_delays(s)
+    assert tau_tx[1, 0] == pytest.approx(3.340151294258584e-9, abs=1e-18)
+
+
+def test_shapes_broadcast_to_virtual_array(baseline):
+    tau_tx, tau_rx = element_delays(baseline)
+    assert tau_tx.shape == (2, 1)
+    assert tau_rx.shape == (1, 4)
+    assert (tau_tx + tau_rx).shape == (2, 4)
+
+
+@pytest.mark.parametrize("theta_rx_deg, theta_tx_deg, extra",
+                         [(0.0, 2.0, 0.0), (-37.0, 11.5, 0.0), (7.0, -3.0, 2e-3)])
+def test_matches_scalar_formula_bit_for_bit(theta_rx_deg, theta_tx_deg, extra):
+    # Reference: the per-element formula of the docstring, in Python floats.
+    s = build_scenario(theta_rx_deg=theta_rx_deg, ntx=3, nrx=5)
+    s = with_theta_tx(s, math.radians(theta_tx_deg), extra)
+    a, r = s.array, s.rts
+    tau_tx, tau_rx = element_delays(s)
+    for i in range(a.ntx):
+        assert tau_tx[i, 0] == (r.rc_m + a.dtx_m * i * math.sin(r.theta_rx_rad)) / C0
+    for j in range(a.nrx):
+        assert tau_rx[0, j] == (r.rc_m + r.extra_return_path_m
+                                + a.drx_m * j * math.sin(r.theta_tx_rad)) / C0
 
 
 def test_boresight_kills_index_dependence(boresight):
-    ref = path_delays(boresight, 0, 0)
-    for i in range(2):
-        for j in range(4):
-            d = path_delays(boresight, i, j)
-            assert d.tau_tx_s == ref.tau_tx_s
-            assert d.tau_rx_s == ref.tau_rx_s
+    tau_tx, tau_rx = element_delays(boresight)
+    assert np.all(tau_tx == tau_tx[0, 0])
+    assert np.all(tau_rx == tau_rx[0, 0])
 
 
 def test_cross_coupling_of_angles():
     # Outbound leg is phased by the RTS receiver angle, return leg by the
     # transmitter angle.
     s = build_scenario(theta_rx_deg=10.0, theta_tx_deg=0.0)
-    assert path_delays(s, 1, 0).tau_tx_s > path_delays(s, 0, 0).tau_tx_s
-    assert path_delays(s, 0, 3).tau_rx_s == path_delays(s, 0, 0).tau_rx_s
+    tau_tx, tau_rx = element_delays(s)
+    assert tau_tx[1, 0] > tau_tx[0, 0]
+    assert tau_rx[0, 3] == tau_rx[0, 0]
 
 
 def test_affine_in_indices():
     s = build_scenario(theta_rx_deg=7.0, theta_tx_deg=-3.0, ntx=4, nrx=4)
     step_tx = s.array.dtx_m * math.sin(s.rts.theta_rx_rad) / C0
     step_rx = s.array.drx_m * math.sin(s.rts.theta_tx_rad) / C0
-    for i in range(3):
-        diff = path_delays(s, i + 1, 0).tau_tx_s - path_delays(s, i, 0).tau_tx_s
-        assert diff == pytest.approx(step_tx, rel=1e-9)
-    for j in range(3):
-        diff = path_delays(s, 0, j + 1).tau_rx_s - path_delays(s, 0, j).tau_rx_s
-        assert diff == pytest.approx(step_rx, rel=1e-9)
+    tau_tx, tau_rx = element_delays(s)
+    assert np.diff(tau_tx[:, 0]) == pytest.approx([step_tx] * 3, rel=1e-9)
+    assert np.diff(tau_rx[0, :]) == pytest.approx([step_rx] * 3, rel=1e-9)
 
 
 def test_total_delay_monotonic_in_indices():
     pos = build_scenario(theta_rx_deg=5.0, theta_tx_deg=5.0, ntx=4, nrx=4)
     neg = build_scenario(theta_rx_deg=-5.0, theta_tx_deg=-5.0, ntx=4, nrx=4)
-    for i in range(3):
-        assert path_delays(pos, i + 1, 0).tau_s > path_delays(pos, i, 0).tau_s
-        assert path_delays(neg, i + 1, 0).tau_s < path_delays(neg, i, 0).tau_s
-    for j in range(3):
-        assert path_delays(pos, 0, j + 1).tau_s > path_delays(pos, 0, j).tau_s
-        assert path_delays(neg, 0, j + 1).tau_s < path_delays(neg, 0, j).tau_s
+    for s, sign in ((pos, 1.0), (neg, -1.0)):
+        tau_tx, tau_rx = element_delays(s)
+        tau = tau_tx + tau_rx + s.rts.tau_rts_s
+        assert np.all(sign * np.diff(tau, axis=0) > 0)
+        assert np.all(sign * np.diff(tau, axis=1) > 0)
 
 
 def test_rts_delay_enters_total_only():
     s = build_scenario(tau_rts_s=5e-8)
-    d = path_delays(s, 0, 0)
-    assert d.tau_s == d.tau_c_s + 5e-8
-    assert d.tau_c_s == d.tau_tx_s + d.tau_rx_s
+    tau_tx, tau_rx = element_delays(s)
+    ref_tx, ref_rx = element_delays(build_scenario())
+    assert np.array_equal(tau_tx, ref_tx) and np.array_equal(tau_rx, ref_rx)
+    assert s.max_total_delay_s() == tau_tx.max() + tau_rx.max() + 5e-8
 
 
 def test_index_out_of_range(boresight):
     with pytest.raises(IndexError):
-        path_delays(boresight, 2, 0)
+        expected_bin_phase(boresight, 2, 0, f_r=0)
     with pytest.raises(IndexError):
-        path_delays(boresight, 0, 4)
+        expected_bin_phase(boresight, 0, 4, f_r=0)
     with pytest.raises(IndexError):
-        path_delays(boresight, -1, 0)
+        expected_bin_phase(boresight, -1, 0, f_r=0)
+    with pytest.raises(IndexError):
+        expected_bin_phase(boresight, 0, -1, f_r=0)
 
 
 def test_far_field_reference_aperture(boresight):

@@ -1,11 +1,13 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qmrts import (C0, ConfigError, ValidationError, emit_scenario,
-                   load_scenario, rts_displacement)
+                   load_scenario, rts_displacement, with_theta_tx)
+from qmrts.cli import main
 from conftest import build_scenario
 
 
@@ -173,6 +175,44 @@ def test_grid_validation():
     bad = replace(s, grid=replace(s.grid, min_rad=1.0, max_rad=0.5))
     with pytest.raises(ValidationError, match="angle_min_deg"):
         bad.validate()
+
+
+FLOAT_KEYS = ("fc_hz", "b_hz", "t_s", "dtx_lambda", "drx_lambda", "rc_m",
+              "theta_rx_deg", "theta_tx_deg", "tau_rts_s", "f_rts_hz",
+              "amplitude", "angle_min_deg", "angle_max_deg", "angle_step_deg")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected(baseline_cfg, tmp_path, capsys, key, value):
+    text, hits = re.subn(rf"^{key} = .*$", f"{key} = {value}", baseline_cfg,
+                         flags=re.M)
+    assert hits == 1
+    name = key.removesuffix("_lambda")
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        load_scenario(text)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert main(["compare", str(path)]) == 1
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_extra_return_path_rejected(boresight, value):
+    with pytest.raises(ValidationError, match="extra_return_path_m must be finite"):
+        with_theta_tx(boresight, 0.0, value).validate()
+
+
+def test_grid_step_must_divide_span(baseline_cfg):
+    text = baseline_cfg.replace("angle_step_deg = 0.01", "angle_step_deg = 0.07")
+    with pytest.raises(ValidationError, match="angle_step_deg"):
+        load_scenario(text)
+
+
+@pytest.mark.parametrize("step", [0.01, 0.002, 0.005, 0.05, 1.0])
+def test_grid_steps_in_use_divide_span(step):
+    assert build_scenario(grid_step_deg=step).grid.n_points == round(180 / step) + 1
 
 
 def test_max_delay_and_beat(boresight):
