@@ -20,8 +20,7 @@ from .signal_chain import (BeatCube, RangeSpectrum, bin_phase_frequency_scale,
                            detected_bin_phase, expected_bin_phase, range_dft,
                            synthesize_beat, write_beat_csv, write_range_csv)
 from .beamformer import (AngleSpectrum, PeakAtBoundaryError, beamform,
-                         refine_peak, select_subset, unit_phasor_spectrum,
-                         write_angle_csv)
+                         refine_peak, unit_phasor_spectrum, write_angle_csv)
 from .closed_form import (AMBIGUITY_GAP_DB, ClosedFormSpectrum,
                           ambiguous_peak, closed_form_phase,
                           closed_form_spectrum, peak_separation_db,
@@ -41,7 +40,7 @@ __all__ = [
     "detected_bin_phase", "expected_bin_phase", "range_dft",
     "synthesize_beat", "write_beat_csv", "write_range_csv",
     "AngleSpectrum", "PeakAtBoundaryError", "beamform", "refine_peak",
-    "select_subset", "unit_phasor_spectrum", "write_angle_csv",
+    "unit_phasor_spectrum", "write_angle_csv",
     "AMBIGUITY_GAP_DB", "ClosedFormSpectrum", "ambiguous_peak",
     "closed_form_phase", "closed_form_spectrum", "peak_separation_db",
     "predicted_peak", "spectrum_magnitude", "write_closed_form_csv",

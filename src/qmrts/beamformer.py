@@ -28,14 +28,18 @@ class AngleSpectrum:
 
     peak_angle_rad is the sub-grid refined peak (parabolic interpolation in
     the sin-alpha domain); for a boundary peak it falls back to the grid
-    angle.  peak_value is the complex value at the grid maximum.
+    angle.
     """
 
     angles_rad: np.ndarray
     values: np.ndarray
     peak_index: int
     peak_angle_rad: float
-    peak_value: complex
+
+    @property
+    def peak_value(self) -> complex:
+        """Complex value at the grid maximum."""
+        return complex(self.values[self.peak_index])
 
 
 def _parabolic_vertex(x: np.ndarray, y: np.ndarray) -> float:
@@ -68,19 +72,28 @@ def _peak(angles_rad: np.ndarray, mag: np.ndarray) -> tuple[int, float]:
 
 
 def beamform(r: RangeSpectrum, s: Scenario) -> AngleSpectrum:
-    """Steer the detected-bin values across the configured angle grid."""
+    """Steer the detected-bin values across the configured angle grid.
+
+    Element positions come from s.array, whose shape r must match.
+    """
+    a = s.array
+    values = r.peak_values
+    if values.shape != (a.ntx, a.nrx):
+        raise ValueError(
+            f"range spectrum has {values.shape[0]}x{values.shape[1]} elements "
+            f"but the scenario array is {a.ntx}x{a.nrx}")
+    tx, rx = a.tx_positions_m(), a.rx_positions_m()
     angles = s.grid.angles_rad()
     sin_a = np.sin(angles)
     lam = s.wavelength_m
     out = np.zeros(angles.size, dtype=complex)
-    mtx, mrx = r.peak_values.shape
-    for i in range(mtx):
-        for j in range(mrx):
-            pos = r.tx_positions_m[i] + r.rx_positions_m[j]
-            out += r.peak_values[i, j] * np.exp(-2j * np.pi * pos * sin_a / lam)
+    for i in range(a.ntx):
+        for j in range(a.nrx):
+            pos = tx[i] + rx[j]
+            out += values[i, j] * np.exp(-2j * np.pi * pos * sin_a / lam)
     k, peak_angle = _peak(angles, np.abs(out))
     return AngleSpectrum(angles_rad=angles, values=out, peak_index=k,
-                         peak_angle_rad=peak_angle, peak_value=complex(out[k]))
+                         peak_angle_rad=peak_angle)
 
 
 def refine_peak(a: AngleSpectrum) -> float:
@@ -97,34 +110,6 @@ def refine_peak(a: AngleSpectrum) -> float:
     return a.peak_angle_rad
 
 
-def select_subset(r: RangeSpectrum, ntx_keep, nrx_keep) -> RangeSpectrum:
-    """Restrict the spectrum to a subset of TX/RX elements.
-
-    Kept elements retain their physical positions, so beamforming the
-    subset is equivalent to processing the same data with a smaller array.
-    """
-    ntx_keep = list(ntx_keep)
-    nrx_keep = list(nrx_keep)
-    if not ntx_keep or not nrx_keep:
-        raise ValueError("antenna selection must keep at least one TX and one RX element")
-    mtx, mrx = r.peak_values.shape
-    if len(set(ntx_keep)) != len(ntx_keep) or len(set(nrx_keep)) != len(nrx_keep):
-        raise ValueError("antenna selection contains duplicate indices")
-    for i in ntx_keep:
-        if not 0 <= i < mtx:
-            raise IndexError(f"ntx index {i} out of range [0, {mtx})")
-    for j in nrx_keep:
-        if not 0 <= j < mrx:
-            raise IndexError(f"nrx index {j} out of range [0, {mrx})")
-    spec = r.spectrum[np.ix_(ntx_keep, nrx_keep)]
-    return RangeSpectrum(spectrum=spec, peak_bin=r.peak_bin,
-                         peak_values=r.peak_values[np.ix_(ntx_keep, nrx_keep)],
-                         tx_positions_m=r.tx_positions_m[ntx_keep],
-                         rx_positions_m=r.rx_positions_m[nrx_keep],
-                         sample_rate_hz=r.sample_rate_hz,
-                         pad_factor=r.pad_factor)
-
-
 def unit_phasor_spectrum(s: Scenario) -> RangeSpectrum:
     """Ideal detected-bin values, bypassing the time-domain chain.
 
@@ -138,11 +123,7 @@ def unit_phasor_spectrum(s: Scenario) -> RangeSpectrum:
     rx = a.rx_positions_m() * math.sin(r.theta_tx_rad)
     phase = 2.0 * np.pi * (tx[:, None] + rx[None, :]) / lam
     values = r.amplitude * s.chirp.ns * np.exp(1j * phase)
-    return RangeSpectrum(spectrum=values[:, :, None], peak_bin=0,
-                         peak_values=values,
-                         tx_positions_m=a.tx_positions_m(),
-                         rx_positions_m=a.rx_positions_m(),
-                         sample_rate_hz=s.sample_rate_hz)
+    return RangeSpectrum(spectrum=values[:, :, None], peak_bin=0)
 
 
 def write_angle_csv(a: AngleSpectrum, path) -> None:

@@ -96,7 +96,7 @@ def cmd_simulate(args) -> int:
 
     lines = [
         f"detected_bin = {rspec.peak_bin}",
-        f"bin_width_hz = {rspec.sample_rate_hz / rspec.spectrum.shape[-1]:.9g}",
+        f"bin_width_hz = {s.sample_rate_hz / rspec.spectrum.shape[-1]:.9g}",
         f"detected_angle_fullchain_deg = {full_deg:.6f}",
         f"detected_angle_closedform_{args.mode}_deg = {cf_deg:.6f}",
         f"spectrum_phase_rad = {phi_a:.9f}",

@@ -31,6 +31,9 @@ MODES = ("sinc", "dirichlet")
 # Step of the fine evaluation grid used for the analytic peak search [deg].
 FINE_STEP_DEG = 0.001
 
+# Step of the grid scanned for competing peaks by peak_separation_db [deg].
+SEPARATION_STEP_DEG = 0.01
+
 
 @dataclass(frozen=True)
 class ClosedFormSpectrum:
@@ -105,16 +108,16 @@ def predicted_peak(s: Scenario, mode: str) -> float:
     return _peak(angles, spectrum_magnitude(s, angles, mode))[1]
 
 
-def peak_separation_db(s: Scenario, mode: str = "dirichlet",
-                       step_deg: float = 0.01) -> float:
-    """Amplitude gap in dB between the two strongest local maxima.
+def peak_separation_db(s: Scenario) -> float:
+    """Amplitude gap in dB between the two strongest local maxima of the
+    dirichlet spectrum.
 
     A small gap means the global peak is ambiguous (grating lobes of a
     wide-spaced array competing with the main lobe).  Returns +inf when
     the spectrum has fewer than two local maxima.
     """
-    angles = replace(s.grid, step_rad=math.radians(step_deg)).angles_rad()
-    mag = spectrum_magnitude(s, angles, mode)
+    angles = replace(s.grid, step_rad=math.radians(SEPARATION_STEP_DEG)).angles_rad()
+    mag = spectrum_magnitude(s, angles, "dirichlet")
     interior = np.where((mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:]))[0] + 1
     peaks = sorted(mag[interior], reverse=True)
     if len(peaks) < 2 or peaks[1] <= 0:
@@ -128,9 +131,9 @@ def peak_separation_db(s: Scenario, mode: str = "dirichlet",
 AMBIGUITY_GAP_DB = 6.0
 
 
-def ambiguous_peak(s: Scenario, mode: str = "dirichlet") -> bool:
+def ambiguous_peak(s: Scenario) -> bool:
     """True when the top two closed-form peaks are within AMBIGUITY_GAP_DB."""
-    return peak_separation_db(s, mode) < AMBIGUITY_GAP_DB
+    return peak_separation_db(s) < AMBIGUITY_GAP_DB
 
 
 def write_closed_form_csv(cf: ClosedFormSpectrum, path) -> None:

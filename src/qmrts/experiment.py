@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ._csvio import write_csv
-from .beamformer import beamform, select_subset
+from .beamformer import beamform
 from .closed_form import predicted_peak
 from .scenario import (ConfigError, Scenario, ValidationError, parse_config,
                        scenario_from_config, with_theta_tx)
@@ -27,11 +27,14 @@ SWEEP_DEFAULTS = {"d_max_m": 0.1, "points": 51,
 
 @dataclass(frozen=True)
 class AntennaSubset:
-    """Named selection of TX/RX elements (first-k of each array)."""
+    """The first ntx TX and the first nrx RX elements of the array."""
 
-    label: str
-    tx_keep: tuple[int, ...]
-    rx_keep: tuple[int, ...]
+    ntx: int
+    nrx: int
+
+    @property
+    def label(self) -> str:
+        return f"{self.ntx}x{self.nrx}"
 
     @classmethod
     def from_label(cls, label: str, ntx: int, nrx: int) -> "AntennaSubset":
@@ -46,14 +49,19 @@ class AntennaSubset:
         if mtx > ntx or mrx > nrx:
             raise ConfigError(
                 f'subset "{label}" exceeds the array size {ntx}x{nrx}')
-        return cls(label=f"{mtx}x{mrx}", tx_keep=tuple(range(mtx)),
-                   rx_keep=tuple(range(mrx)))
+        return cls(ntx=mtx, nrx=mrx)
 
     def apply(self, r: RangeSpectrum, s: Scenario) -> tuple[RangeSpectrum, Scenario]:
-        """Cut the kept elements from r, and shrink s's array to match."""
-        array = replace(s.array, ntx=len(self.tx_keep), nrx=len(self.rx_keep))
-        return (select_subset(r, self.tx_keep, self.rx_keep),
-                replace(s, array=array))
+        """Cut the kept elements from r, and shrink s's array to match.
+
+        A prefix of each array keeps its element positions, so beamforming
+        the cut is equivalent to processing the same data with a smaller
+        array.
+        """
+        cut = RangeSpectrum(spectrum=r.spectrum[:self.ntx, :self.nrx],
+                            peak_bin=r.peak_bin)
+        array = replace(s.array, ntx=self.ntx, nrx=self.nrx)
+        return cut, replace(s, array=array)
 
 
 @dataclass(frozen=True)
@@ -179,14 +187,11 @@ def read_results(path) -> list[SweepRow]:
         if header != CSV_HEADER:
             raise ValueError(f"unexpected sweep CSV header: {header}")
         for rec in reader:
-            rows.append(SweepRow(
-                d_rts_m=float(rec[0]), theta_rx_deg=float(rec[1]),
-                theta_tx_deg=float(rec[2]), subset=rec[3],
-                detected_fullchain_deg=float(rec[4]),
-                detected_closedform_deg=float(rec[5]),
-                deviation_deg=float(rec[6]),
-                range_compensated=rec[7] == "true",
-            ))
+            fields = dict(zip(CSV_HEADER, rec))
+            subset = fields.pop("subset")
+            compensated = fields.pop("range_compensated") == "true"
+            rows.append(SweepRow(subset=subset, range_compensated=compensated,
+                                 **{k: float(v) for k, v in fields.items()}))
     return rows
 
 
@@ -199,12 +204,11 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigError(f'"{key}" must be true or false (got {raw!r})')
 
 
-def load_sweep_spec(text: str, base: Scenario | None = None) -> SweepSpec:
+def load_sweep_spec(text: str) -> SweepSpec:
     """Build a SweepSpec from a config document with a [sweep] section."""
     sections = parse_config(text)
-    if base is None:
-        base = scenario_from_config(sections)
-        base.validate()
+    base = scenario_from_config(sections)
+    base.validate()
     if "sweep" not in sections:
         raise ConfigError("missing section [sweep]")
     sw = dict(SWEEP_DEFAULTS)

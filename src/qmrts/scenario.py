@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,8 +31,8 @@ class ChirpConfig:
 
     fc_hz: float        # start frequency [Hz]
     b_hz: float         # sweep bandwidth [Hz]
-    t_s: float = 100e-6     # chirp period [s]
-    ns: int = 1024          # samples per chirp
+    t_s: float          # chirp period [s]
+    ns: int             # samples per chirp
 
     @property
     def sample_rate_hz(self) -> float:
@@ -70,21 +70,25 @@ class RtsChannelConfig:
     """
 
     rc_m: float                 # radar-to-front-end distance [m]
-    theta_rx_rad: float = 0.0   # azimuth of the RTS receive antenna [rad]
-    theta_tx_rad: float = 0.0   # azimuth of the RTS transmit antenna [rad]
-    tau_rts_s: float = 0.0      # internal delay [s]
-    f_rts_hz: float = 0.0       # intermediate frequency [Hz]
-    amplitude: float = 1.0      # linear amplitude scale
+    theta_rx_rad: float         # azimuth of the RTS receive antenna [rad]
+    theta_tx_rad: float         # azimuth of the RTS transmit antenna [rad]
+    tau_rts_s: float            # internal delay [s]
+    f_rts_hz: float             # intermediate frequency [Hz]
+    amplitude: float            # linear amplitude scale
     extra_return_path_m: float = 0.0
+
+
+# Relative tolerance within which a grid step counts as dividing the span.
+STEP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class AngleGrid:
     """Uniform azimuth grid for beamforming, bounded to [-90, 90] deg."""
 
-    min_rad: float = math.radians(-90.0)
-    max_rad: float = math.radians(90.0)
-    step_rad: float = math.radians(0.01)
+    min_rad: float
+    max_rad: float
+    step_rad: float
 
     @classmethod
     def from_degrees(cls, min_deg: float, max_deg: float, step_deg: float) -> "AngleGrid":
@@ -93,7 +97,10 @@ class AngleGrid:
 
     @property
     def n_points(self) -> int:
-        return int(round((self.max_rad - self.min_rad) / self.step_rad)) + 1
+        """Points of the fewest intervals no wider than step_rad (within
+        STEP_RTOL), so a step that does not divide the span shrinks."""
+        x = (self.max_rad - self.min_rad) / self.step_rad
+        return math.ceil(x - STEP_RTOL * x) + 1
 
     def angles_rad(self) -> np.ndarray:
         return np.linspace(self.min_rad, self.max_rad, self.n_points)
@@ -106,7 +113,7 @@ class Scenario:
     chirp: ChirpConfig
     array: RadarArrayConfig
     rts: RtsChannelConfig
-    grid: AngleGrid = field(default_factory=AngleGrid)
+    grid: AngleGrid
 
     @property
     def wavelength_m(self) -> float:
@@ -169,10 +176,14 @@ class Scenario:
         eps = 1e-12
         if not (g.min_rad >= -half_pi - eps and g.max_rad <= half_pi + eps):
             raise ValidationError("angle grid must lie within [-90, 90] deg")
-        # A step that does not divide the span would be silently stretched
+        # A step that does not divide the span would be silently changed
         # by linspace to fit.
         steps = (g.max_rad - g.min_rad) / g.step_rad
-        if not abs(steps - round(steps)) <= 1e-9 * steps:
+        if not math.isfinite(steps):
+            raise ValidationError(
+                f"angle_step_deg = {math.degrees(g.step_rad):.9g} is too small: "
+                "the angle grid's interval count overflows")
+        if not abs(steps - round(steps)) <= STEP_RTOL * steps:
             raise ValidationError(
                 f"angle_step_deg = {math.degrees(g.step_rad):.9g} does not divide "
                 f"the angle span of {math.degrees(g.max_rad - g.min_rad):.9g} deg")
@@ -256,13 +267,17 @@ def _require(values: dict, section: str, key: str):
     return values[key]
 
 
-def _resolve_spacing(values: dict, name: str, wavelength_m: float) -> float:
+def _resolve_spacing(values: dict, name: str, chirp: ChirpConfig) -> float:
     key_m, key_l = f"{name}_m", f"{name}_lambda"
     has_m, has_l = key_m in values, key_l in values
     if has_m == has_l:
         raise ConfigError(
             f'exactly one of "{key_m}" or "{key_l}" must be given in [array]')
-    return values[key_m] if has_m else values[key_l] * wavelength_m
+    if has_m:
+        return values[key_m]
+    if chirp.fc_hz == 0:
+        raise ValidationError(f"fc_hz must be > 0 (got {chirp.fc_hz})")
+    return values[key_l] * chirp.wavelength_m
 
 
 def scenario_from_config(sections: dict[str, dict[str, object]]) -> Scenario:
@@ -283,8 +298,8 @@ def scenario_from_config(sections: dict[str, dict[str, object]]) -> Scenario:
     array = RadarArrayConfig(
         ntx=_require(ar, "array", "ntx"),
         nrx=_require(ar, "array", "nrx"),
-        dtx_m=_resolve_spacing(ar, "dtx", chirp.wavelength_m),
-        drx_m=_resolve_spacing(ar, "drx", chirp.wavelength_m),
+        dtx_m=_resolve_spacing(ar, "dtx", chirp),
+        drx_m=_resolve_spacing(ar, "drx", chirp),
     )
 
     rt = sections["rts"]

@@ -21,12 +21,12 @@ from .scenario import Scenario
 
 @dataclass(frozen=True)
 class BeatCube:
-    """Noiseless beat samples per virtual element, shape (Ntx, Nrx, Ns)."""
+    """Noiseless beat samples per virtual element, shape (Ntx, Nrx, Ns).
+
+    Element positions and the sample rate belong to the Scenario.
+    """
 
     samples: np.ndarray
-    sample_rate_hz: float
-    tx_positions_m: np.ndarray
-    rx_positions_m: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,11 @@ class RangeSpectrum:
 
     spectrum: np.ndarray          # (Mtx, Mrx, K) complex
     peak_bin: int
-    peak_values: np.ndarray       # (Mtx, Mrx) complex
-    tx_positions_m: np.ndarray
-    rx_positions_m: np.ndarray
-    sample_rate_hz: float
-    pad_factor: int = 1
+
+    @property
+    def peak_values(self) -> np.ndarray:
+        """(Mtx, Mrx) complex values at the detected bin."""
+        return self.spectrum[:, :, self.peak_bin]
 
 
 def synthesize_beat(s: Scenario) -> BeatCube:
@@ -60,7 +60,6 @@ def synthesize_beat(s: Scenario) -> BeatCube:
     rate.
     """
     c, r = s.chirp, s.rts
-    a = s.array
     fs = s.sample_rate_hz
 
     tau_tx, tau_rx = element_delays(s)
@@ -78,9 +77,7 @@ def synthesize_beat(s: Scenario) -> BeatCube:
     const = c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s - (slope / 2.0) * tau**2
     phase = 2.0 * np.pi * (const[:, :, None] + fbeat[:, :, None] * t[None, None, :])
     samples = r.amplitude * np.exp(1j * phase)
-    return BeatCube(samples=samples, sample_rate_hz=fs,
-                    tx_positions_m=a.tx_positions_m(),
-                    rx_positions_m=a.rx_positions_m())
+    return BeatCube(samples=samples)
 
 
 def range_dft(b: BeatCube, zero_pad: int = 1) -> RangeSpectrum:
@@ -96,12 +93,7 @@ def range_dft(b: BeatCube, zero_pad: int = 1) -> RangeSpectrum:
     spec = np.fft.fft(b.samples, n=ns * zero_pad, axis=-1)
     power = np.sum(np.abs(spec) ** 2, axis=(0, 1))
     k = int(np.argmax(power))
-    return RangeSpectrum(spectrum=spec, peak_bin=k,
-                         peak_values=spec[:, :, k].copy(),
-                         tx_positions_m=b.tx_positions_m,
-                         rx_positions_m=b.rx_positions_m,
-                         sample_rate_hz=b.sample_rate_hz,
-                         pad_factor=zero_pad)
+    return RangeSpectrum(spectrum=spec, peak_bin=k)
 
 
 def detected_bin_phase(r: RangeSpectrum, ntx: int, nrx: int) -> float:

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from qmrts import (AngleGrid, AngleSpectrum, PeakAtBoundaryError, beamform,
-                   predicted_peak, range_dft, refine_peak, select_subset,
-                   synthesize_beat, unit_phasor_spectrum, write_angle_csv)
+from qmrts import (AngleGrid, AngleSpectrum, AntennaSubset, ConfigError,
+                   PeakAtBoundaryError, beamform, predicted_peak, range_dft,
+                   refine_peak, synthesize_beat, unit_phasor_spectrum,
+                   write_angle_csv)
 from qmrts.beamformer import _peak
 from conftest import build_scenario, on_bin_tau_rts
 
@@ -73,7 +74,8 @@ def test_refine_symmetric_triple_is_exact():
     angles = np.radians(np.array([-0.01, 0.0, 0.01]))
     a = AngleSpectrum(angles_rad=angles,
                       values=np.array([0.5, 1.0, 0.5], dtype=complex),
-                      peak_index=1, peak_angle_rad=0.0, peak_value=1.0 + 0j)
+                      peak_index=1, peak_angle_rad=0.0)
+    assert a.peak_value == 1.0 + 0j
     assert refine_peak(a) == 0.0
     assert _peak(angles, np.abs(a.values)) == (1, 0.0)
 
@@ -82,12 +84,11 @@ def test_refine_peak_boundary_raises():
     angles = np.radians(np.linspace(-1, 1, 5))
     values = np.exp(-np.linspace(0, 4, 5)).astype(complex)  # max at edge
     a = AngleSpectrum(angles_rad=angles, values=values, peak_index=0,
-                      peak_angle_rad=angles[0], peak_value=values[0])
+                      peak_angle_rad=angles[0])
     with pytest.raises(PeakAtBoundaryError):
         refine_peak(a)
     tiny = AngleSpectrum(angles_rad=angles[:2], values=values[:2],
-                         peak_index=0, peak_angle_rad=angles[0],
-                         peak_value=values[0])
+                         peak_index=0, peak_angle_rad=angles[0])
     with pytest.raises(PeakAtBoundaryError):
         refine_peak(tiny)
 
@@ -99,33 +100,50 @@ def test_tie_break_smallest_angle():
     assert a.peak_angle_rad == s.grid.angles_rad()[0]
 
 
-def test_select_subset_identity_and_shapes(baseline):
+def cut(label, r, s):
+    return AntennaSubset.from_label(label, s.array.ntx, s.array.nrx).apply(r, s)
+
+
+def test_subset_apply_identity_and_shapes(baseline):
     r = range_dft(synthesize_beat(baseline))
-    same = select_subset(r, range(2), range(4))
+    same, s24 = cut("2x4", r, baseline)
     assert np.array_equal(same.peak_values, r.peak_values)
-    sub14 = select_subset(r, [0], [0, 1, 2, 3])
+    assert s24 == baseline
+    sub14, s14 = cut("1x4", r, baseline)
     assert sub14.peak_values.shape == (1, 4)
-    sub22 = select_subset(r, [0, 1], [0, 1])
+    assert (s14.array.ntx, s14.array.nrx) == (1, 4)
+    sub22, s22 = cut("2x2", r, baseline)
     assert sub22.peak_values.shape == (2, 2)
-    assert np.array_equal(sub22.tx_positions_m, r.tx_positions_m[:2])
+    assert sub22.peak_bin == r.peak_bin
     # kept elements retain their physical positions
-    sub_offset = select_subset(r, [1], [2, 3])
-    assert sub_offset.tx_positions_m[0] == r.tx_positions_m[1]
+    assert np.array_equal(s22.array.tx_positions_m(),
+                          baseline.array.tx_positions_m()[:2])
+    assert np.array_equal(s22.array.rx_positions_m(),
+                          baseline.array.rx_positions_m()[:2])
 
 
-def test_select_subset_errors(baseline):
+def test_subset_apply_errors(baseline):
     r = range_dft(synthesize_beat(baseline))
-    with pytest.raises(ValueError, match="at least one"):
-        select_subset(r, [], [0])
-    with pytest.raises(ValueError, match="duplicate"):
-        select_subset(r, [0, 0], [0])
-    with pytest.raises(IndexError):
-        select_subset(r, [2], [0])
+    with pytest.raises(ConfigError):
+        cut("0x4", r, baseline)
+    with pytest.raises(ConfigError, match="exceeds"):
+        cut("3x4", r, baseline)
+    # A subset built past the array cannot slip through to beamforming.
+    rsub, ssub = AntennaSubset(ntx=3, nrx=4).apply(r, baseline)
+    with pytest.raises(ValueError, match="2x4 elements"):
+        beamform(rsub, ssub)
+
+
+def test_beamform_rejects_mismatched_shape(baseline):
+    r = range_dft(synthesize_beat(baseline))
+    rsub, _ = cut("1x4", r, baseline)
+    with pytest.raises(ValueError, match="1x4 elements .* array is 2x4"):
+        beamform(rsub, baseline)
 
 
 def test_subset_fullchain_tracks_transmitter(baseline):
     r = range_dft(synthesize_beat(baseline))
-    a = beamform(select_subset(r, [0], [0, 1, 2, 3]), baseline)
+    a = beamform(*cut("1x4", r, baseline))
     # detected angle = asin(scale * sin(2 deg)), scale ~ 1.00649
     assert DEG(a.peak_angle_rad) == pytest.approx(2.0130, abs=2e-3)
 

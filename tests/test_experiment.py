@@ -43,9 +43,9 @@ def test_displacement_domain_error():
 
 def test_subset_label_parsing():
     sub = AntennaSubset.from_label("2x4", 2, 4)
-    assert sub.tx_keep == (0, 1)
-    assert sub.rx_keep == (0, 1, 2, 3)
-    assert AntennaSubset.from_label("1x4", 2, 4).tx_keep == (0,)
+    assert (sub.ntx, sub.nrx) == (2, 4)
+    assert sub.label == "2x4"
+    assert AntennaSubset.from_label("1X4", 2, 4) == AntennaSubset(ntx=1, nrx=4)
     for bad in ("0x4", "x", "2x", "2x3x4", "ax2"):
         with pytest.raises(ConfigError):
             AntennaSubset.from_label(bad, 2, 4)

@@ -25,6 +25,6 @@ def test_public_names_resolve():
 
 def test_public_names_follow_the_geometry_api():
     assert "element_delays" in qmrts.__all__
-    for gone in ("PathDelays", "path_delays"):
+    for gone in ("PathDelays", "path_delays", "select_subset"):
         assert gone not in qmrts.__all__
         assert not hasattr(qmrts, gone)

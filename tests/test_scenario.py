@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qmrts import (C0, ConfigError, ValidationError, emit_scenario,
+from qmrts import (C0, AngleGrid, ConfigError, ValidationError, emit_scenario,
                    load_scenario, rts_displacement, with_theta_tx)
 from qmrts.cli import main
 from conftest import build_scenario
@@ -162,6 +163,71 @@ amplitude = {rng.uniform(0.1, 10)!r}
         assert load_scenario(emit_scenario(s)) == s
 
 
+FLOAT_KEYS = ("fc_hz", "b_hz", "t_s", "dtx_lambda", "drx_lambda", "rc_m",
+              "theta_rx_deg", "theta_tx_deg", "tau_rts_s", "f_rts_hz",
+              "amplitude", "angle_min_deg", "angle_max_deg", "angle_step_deg")
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenario_configs(draw):
+    """Config documents over the valid ranges of every key."""
+    step = draw(st.sampled_from([0.001, 0.01, 0.02, 0.05, 0.125, 0.5, 1.0]))
+    lo = -step * draw(st.integers(1, int(90 / step)))
+    hi = step * draw(st.integers(1, int(90 / step)))
+    return f"""
+[chirp]
+fc_hz = {draw(_finite(1e9, 300e9))!r}
+b_hz = {draw(_finite(1e6, 4e9))!r}
+t_s = {draw(_finite(10e-6, 1e-3))!r}
+ns = {draw(st.integers(256, 4096))}
+
+[array]
+ntx = {draw(st.integers(1, 8))}
+nrx = {draw(st.integers(1, 8))}
+dtx_lambda = {draw(_finite(0.1, 4.0))!r}
+drx_m = {draw(_finite(1e-4, 0.05))!r}
+
+[rts]
+rc_m = {draw(_finite(0.05, 10.0))!r}
+theta_rx_deg = {draw(_finite(-90.0, 90.0))!r}
+theta_tx_deg = {draw(_finite(-90.0, 90.0))!r}
+tau_rts_s = {draw(_finite(0.0, 1e-7))!r}
+f_rts_hz = {draw(_finite(0.0, 2e9))!r}
+amplitude = {draw(_finite(1e-3, 1e3))!r}
+
+[grid]
+angle_min_deg = {lo!r}
+angle_max_deg = {hi!r}
+angle_step_deg = {step!r}
+"""
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(scenario_configs())
+def test_emit_round_trip_property(text):
+    try:
+        s = load_scenario(text)
+    except ValidationError:
+        return  # e.g. a beat tone past Nyquist: no scenario to round-trip
+    assert load_scenario(emit_scenario(s)) == s
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(key=st.sampled_from(FLOAT_KEYS), value=st.floats())
+def test_any_float_value_is_loaded_or_rejected(baseline_cfg, key, value):
+    text, hits = re.subn(rf"^{key} = .*$", f"{key} = {value!r}", baseline_cfg,
+                         flags=re.M)
+    assert hits == 1
+    try:
+        load_scenario(text)
+    except (ConfigError, ValidationError):
+        pass
+
+
 def test_inline_comments_tolerated(baseline_cfg):
     s = load_scenario(baseline_cfg.replace("rc_m = 1.0",
                                            "rc_m = 1.0  # nominal arc"))
@@ -175,11 +241,6 @@ def test_grid_validation():
     bad = replace(s, grid=replace(s.grid, min_rad=1.0, max_rad=0.5))
     with pytest.raises(ValidationError, match="angle_min_deg"):
         bad.validate()
-
-
-FLOAT_KEYS = ("fc_hz", "b_hz", "t_s", "dtx_lambda", "drx_lambda", "rc_m",
-              "theta_rx_deg", "theta_tx_deg", "tau_rts_s", "f_rts_hz",
-              "amplitude", "angle_min_deg", "angle_max_deg", "angle_step_deg")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -213,6 +274,38 @@ def test_grid_step_must_divide_span(baseline_cfg):
 @pytest.mark.parametrize("step", [0.01, 0.002, 0.005, 0.05, 1.0])
 def test_grid_steps_in_use_divide_span(step):
     assert build_scenario(grid_step_deg=step).grid.n_points == round(180 / step) + 1
+
+
+def test_dense_grid_never_exceeds_its_step():
+    # A valid +-1.00125 deg grid re-stepped at the 0.001 deg peak-search
+    # step: the span holds 2002.5 steps, so 2003 intervals are needed.
+    g = AngleGrid.from_degrees(-1.00125, 1.00125, 0.001)
+    assert g.n_points == 2004
+    assert np.diff(g.angles_rad()).max() <= g.step_rad
+    for step in (0.001, 0.002, 0.01, 0.07, 0.3):
+        g = AngleGrid.from_degrees(-90, 90, step)
+        assert np.diff(g.angles_rad()).max() <= g.step_rad * (1 + 1e-9)
+
+
+def test_zero_carrier_rejected_with_lambda_spacing(baseline_cfg, tmp_path, capsys):
+    text = baseline_cfg.replace("fc_hz = 77e9", "fc_hz = 0")
+    with pytest.raises(ValidationError, match="fc_hz must be > 0"):
+        load_scenario(text)
+    path = tmp_path / "dc.cfg"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert "fc_hz must be > 0" in capsys.readouterr().err
+
+
+def test_grid_step_overflow_rejected(baseline_cfg, tmp_path, capsys):
+    text = baseline_cfg.replace("angle_step_deg = 0.01", "angle_step_deg = 1e-306")
+    with pytest.raises(ValidationError, match="angle_step_deg"):
+        load_scenario(text)
+    path = tmp_path / "tiny_step.cfg"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert main(["compare", str(path)]) == 1
+    assert "angle_step_deg" in capsys.readouterr().err
 
 
 def test_max_delay_and_beat(boresight):

@@ -13,7 +13,8 @@ from conftest import build_scenario, on_bin_tau_rts, wrap_phase
 def test_cube_shape_and_rate(baseline):
     b = synthesize_beat(baseline)
     assert b.samples.shape == (2, 4, 1024)
-    assert b.sample_rate_hz == baseline.sample_rate_hz
+    # The rate is the Scenario's: Ns samples over one chirp period.
+    assert b.samples.shape[-1] / baseline.chirp.t_s == baseline.sample_rate_hz
 
 
 def test_sample_magnitude_equals_amplitude():
@@ -96,8 +97,7 @@ def test_equal_delay_elements_share_phase(boresight):
 
 def test_constant_cube_detects_dc():
     ones = np.ones((2, 4, 256), dtype=complex)
-    b = BeatCube(samples=ones, sample_rate_hz=256 / 1e-4,
-                 tx_positions_m=np.zeros(2), rx_positions_m=np.zeros(4))
+    b = BeatCube(samples=ones)
     assert range_dft(b).peak_bin == 0
 
 
