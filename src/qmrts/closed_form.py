@@ -24,12 +24,14 @@ import numpy as np
 from ._csvio import write_csv
 from .beamformer import _peak
 from .propagation import C0
-from .scenario import Scenario
+from .scenario import FINE_STEP_DEG, Scenario
 
 MODES = ("sinc", "dirichlet")
 
-# Step of the fine evaluation grid used for the analytic peak search [deg].
-FINE_STEP_DEG = 0.001
+# Every COARSE_STRIDE-th point of the FINE_STEP_DEG grid is evaluated
+# first by predicted_peak; the fine grid is then evaluated only where the
+# peak can be.
+COARSE_STRIDE = 100
 
 # Step of the grid scanned for competing peaks by peak_separation_db [deg].
 SEPARATION_STEP_DEG = 0.01
@@ -97,15 +99,49 @@ def closed_form_phase(s: Scenario) -> float:
 
 
 def predicted_peak(s: Scenario, mode: str) -> float:
-    """Analytic detected angle: fine-grid argmax of the closed-form
-    magnitude with parabolic refinement in sin(alpha).
+    """Analytic detected angle: argmax of the closed-form magnitude on
+    the FINE_STEP_DEG grid with parabolic refinement in sin(alpha).
 
     For small antenna displacements this tracks the curvature-weighted
     centroid of the two kernel centers; the numerical argmax is used
     because no closed-form peak location exists.
+
+    The argmax is found coarse to fine and gives the same float as a
+    search over every fine point.  The coarse pass evaluates every
+    COARSE_STRIDE-th fine point and the last one.  The magnitude is
+    |g(sin alpha)|, where g is real, bounded by gain = A*Ns*Ntx*Nrx and of
+    exponential type B = pi*(Ntx*dtx + Nrx*drx)/lambda in u = sin(alpha)
+    (a kernel of N elements has type pi*N*d/lambda).  By Bernstein's
+    inequality the second derivative of g(sin alpha) in alpha is at most
+    gain*(B^2 + B), so between coarse neighbours at most h apart it rises
+    above the chord, and so above the larger endpoint, by at most
+    margin = gain*(B^2 + B)*h^2/8.  Every fine point at or above the
+    coarse maximum thus has a coarse neighbour within margin of that
+    maximum: a candidate.  The fine pass evaluates COARSE_STRIDE points
+    either side of each candidate, which holds every such point and its
+    two neighbours (a point on a coarse sample is a candidate itself).
+    Points left out stay 0, below any maximum, so _peak finds the same
+    argmax, ties and edge fallback as on the full grid.
     """
     angles = replace(s.grid, step_rad=math.radians(FINE_STEP_DEG)).angles_rad()
-    return _peak(angles, spectrum_magnitude(s, angles, mode))[1]
+    n = angles.size
+    coarse = np.append(np.arange(0, n - 1, COARSE_STRIDE), n - 1)
+    coarse_mag = spectrum_magnitude(s, angles[coarse], mode)
+
+    a = s.array
+    gain = s.rts.amplitude * s.chirp.ns * a.ntx * a.nrx
+    band = math.pi * (a.ntx * a.dtx_m + a.nrx * a.drx_m) / s.wavelength_m
+    h = float(np.diff(angles[coarse]).max())
+    margin = gain * (band * band + band) * h * h / 8.0
+    candidates = coarse[coarse_mag >= coarse_mag.max() - margin]
+
+    window = np.arange(-COARSE_STRIDE, COARSE_STRIDE + 1)
+    evaluate = np.zeros(n, dtype=bool)
+    evaluate[np.clip(candidates[:, None] + window, 0, n - 1)] = True
+    fine = np.flatnonzero(evaluate)
+    mag = np.zeros(n)
+    mag[fine] = spectrum_magnitude(s, angles[fine], mode)
+    return _peak(angles, mag)[1]
 
 
 def peak_separation_db(s: Scenario) -> float:

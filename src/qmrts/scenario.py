@@ -81,6 +81,11 @@ class RtsChannelConfig:
 # Relative tolerance within which a grid step counts as dividing the span.
 STEP_RTOL = 1e-9
 
+# Step of the fine grid of the closed-form peak search [deg], and the
+# finest step an angle grid may have: a finer beamforming grid would
+# resolve angles the closed form cannot.
+FINE_STEP_DEG = 0.001
+
 
 @dataclass(frozen=True)
 class AngleGrid:
@@ -176,13 +181,13 @@ class Scenario:
         eps = 1e-12
         if not (g.min_rad >= -half_pi - eps and g.max_rad <= half_pi + eps):
             raise ValidationError("angle grid must lie within [-90, 90] deg")
+        if not g.step_rad >= math.radians(FINE_STEP_DEG):
+            raise ValidationError(
+                f"angle_step_deg = {math.degrees(g.step_rad):.9g} is finer than "
+                f"the {FINE_STEP_DEG} deg closed-form search grid")
         # A step that does not divide the span would be silently changed
         # by linspace to fit.
         steps = (g.max_rad - g.min_rad) / g.step_rad
-        if not math.isfinite(steps):
-            raise ValidationError(
-                f"angle_step_deg = {math.degrees(g.step_rad):.9g} is too small: "
-                "the angle grid's interval count overflows")
         if not abs(steps - round(steps)) <= STEP_RTOL * steps:
             raise ValidationError(
                 f"angle_step_deg = {math.degrees(g.step_rad):.9g} does not divide "
@@ -275,8 +280,16 @@ def _resolve_spacing(values: dict, name: str, chirp: ChirpConfig) -> float:
             f'exactly one of "{key_m}" or "{key_l}" must be given in [array]')
     if has_m:
         return values[key_m]
-    if chirp.fc_hz == 0:
-        raise ValidationError(f"fc_hz must be > 0 (got {chirp.fc_hz})")
+    # Spacings are resolved before validate() runs, so a carrier that
+    # gives no finite, positive wavelength is named here.
+    fc = chirp.fc_hz
+    if not math.isfinite(fc):
+        raise ValidationError(f"fc_hz must be finite (got {fc})")
+    if not fc > 0:
+        raise ValidationError(f"fc_hz must be > 0 (got {fc})")
+    if not math.isfinite(chirp.wavelength_m):
+        raise ValidationError(
+            f"fc_hz = {fc!r} is too small: the wavelength overflows")
     return values[key_l] * chirp.wavelength_m
 
 

@@ -1,13 +1,18 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qmrts import (C0, ambiguous_peak, beamform, closed_form_phase,
+from qmrts import (C0, AngleGrid, ambiguous_peak, beamform, closed_form_phase,
                    closed_form_spectrum, peak_separation_db, predicted_peak,
                    range_dft, spectrum_magnitude, synthesize_beat,
                    write_closed_form_csv)
+from qmrts import closed_form
+from qmrts.beamformer import _peak
+from qmrts.scenario import FINE_STEP_DEG
 from conftest import build_scenario, on_bin_tau_rts, wrap_phase
 
 DEG = math.degrees
@@ -159,6 +164,73 @@ def test_spectrum_dataclass_and_csv(tmp_path, baseline):
     assert rows[1][4] == "dirichlet"
     re, im = float(rows[1][1]), float(rows[1][2])
     assert math.atan2(im, re) == pytest.approx(wrap_phase(cf.phase_rad), abs=1e-6)
+
+
+def dense_peak(s, mode):
+    """Test-local oracle: argmax and vertex over every point of the fine
+    grid, the search predicted_peak must reproduce bit for bit."""
+    angles = replace(s.grid, step_rad=math.radians(FINE_STEP_DEG)).angles_rad()
+    return _peak(angles, spectrum_magnitude(s, angles, mode))[1]
+
+
+@st.composite
+def peak_search_cases(draw):
+    """Arrays, antenna angles and grids (full, narrow, off-center)."""
+    step = draw(st.sampled_from([0.001, 0.00125, 0.002, 0.005, 0.01]))
+    lo = -step * draw(st.integers(1, int(90 / step)))
+    hi = step * draw(st.integers(1, int(90 / step)))
+    s = build_scenario(
+        ntx=draw(st.integers(1, 4)), nrx=draw(st.integers(1, 16)),
+        dtx_lambda=draw(st.floats(0.5, 8.0)), drx_lambda=draw(st.floats(0.5, 8.0)),
+        theta_rx_deg=draw(st.floats(-80.0, 80.0)),
+        theta_tx_deg=draw(st.floats(-80.0, 80.0)))
+    grid = draw(st.sampled_from([s.grid, AngleGrid.from_degrees(lo, hi, step)]))
+    return replace(s, grid=grid), draw(st.sampled_from(closed_form.MODES))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(peak_search_cases())
+def test_predicted_peak_equals_dense_search_property(case):
+    s, mode = case
+    assert predicted_peak(s, mode) == dense_peak(s, mode)
+
+
+@pytest.mark.parametrize("mode", closed_form.MODES)
+@pytest.mark.parametrize("kwargs", [
+    dict(ntx=1, nrx=1, theta_rx_deg=25.0, theta_tx_deg=-10.0),  # flat
+    dict(ntx=1, nrx=4, theta_tx_deg=20.0, grid_span_deg=1.0,    # edge peak
+         grid_step_deg=0.005),
+    dict(theta_tx_deg=0.5, grid_span_deg=1.00125, grid_step_deg=0.00125),
+    dict(ntx=4, nrx=16, dtx_lambda=8.0, drx_lambda=0.5,         # compare board
+         theta_rx_deg=40.0, theta_tx_deg=41.5),
+], ids=["1x1-flat", "edge-peak", "grid-not-stride-multiple", "4x16-board"])
+def test_predicted_peak_equals_dense_search(mode, kwargs):
+    s = build_scenario(**kwargs)
+    assert predicted_peak(s, mode) == dense_peak(s, mode)
+
+
+def test_predicted_peak_edge_falls_back_to_grid_angle():
+    # Single TX: the spectrum is the RX kernel centred at 20 deg, rising
+    # across the whole +-1 deg grid.
+    s = build_scenario(ntx=1, nrx=4, theta_tx_deg=20.0, grid_span_deg=1.0,
+                       grid_step_deg=0.005)
+    for mode in closed_form.MODES:
+        assert predicted_peak(s, mode) == s.grid.max_rad
+
+
+@pytest.mark.parametrize("mode", closed_form.MODES)
+def test_predicted_peak_evaluates_few_points(baseline, monkeypatch, mode):
+    evaluated = []
+
+    def counting(s, angles_rad, m):
+        evaluated.append(np.asarray(angles_rad).size)
+        return spectrum_magnitude(s, angles_rad, m)
+
+    monkeypatch.setattr(closed_form, "spectrum_magnitude", counting)
+    predicted_peak(baseline, mode)
+    dense = replace(baseline.grid, step_rad=math.radians(FINE_STEP_DEG)).n_points
+    assert dense == 180_001
+    assert sum(evaluated) < 0.05 * dense
 
 
 def test_bad_mode_rejected(baseline):

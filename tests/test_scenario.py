@@ -271,7 +271,7 @@ def test_grid_step_must_divide_span(baseline_cfg):
         load_scenario(text)
 
 
-@pytest.mark.parametrize("step", [0.01, 0.002, 0.005, 0.05, 1.0])
+@pytest.mark.parametrize("step", [0.01, 0.002, 0.005, 0.05, 1.0, 0.001])
 def test_grid_steps_in_use_divide_span(step):
     assert build_scenario(grid_step_deg=step).grid.n_points == round(180 / step) + 1
 
@@ -288,13 +288,17 @@ def test_dense_grid_never_exceeds_its_step():
 
 
 def test_zero_carrier_rejected_with_lambda_spacing(baseline_cfg, tmp_path, capsys):
-    text = baseline_cfg.replace("fc_hz = 77e9", "fc_hz = 0")
-    with pytest.raises(ValidationError, match="fc_hz must be > 0"):
-        load_scenario(text)
-    path = tmp_path / "dc.cfg"
-    path.write_text(text)
-    assert main(["validate", str(path)]) == 1
-    assert "fc_hz must be > 0" in capsys.readouterr().err
+    # 1e-300 Hz overflows the wavelength C0/fc_hz to inf.
+    for fc, message in (
+            ("0", "fc_hz must be > 0"),
+            ("1e-300", "fc_hz = 1e-300 is too small: the wavelength overflows")):
+        text = baseline_cfg.replace("fc_hz = 77e9", f"fc_hz = {fc}")
+        with pytest.raises(ValidationError, match=message):
+            load_scenario(text)
+        path = tmp_path / "dc.cfg"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_grid_step_overflow_rejected(baseline_cfg, tmp_path, capsys):
@@ -302,6 +306,20 @@ def test_grid_step_overflow_rejected(baseline_cfg, tmp_path, capsys):
     with pytest.raises(ValidationError, match="angle_step_deg"):
         load_scenario(text)
     path = tmp_path / "tiny_step.cfg"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert main(["compare", str(path)]) == 1
+    assert "angle_step_deg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["1e-200", "0.0005"])
+def test_grid_step_finer_than_search_grid_rejected(baseline_cfg, tmp_path, capsys,
+                                                   step):
+    text = baseline_cfg.replace("angle_step_deg = 0.01", f"angle_step_deg = {step}")
+    with pytest.raises(ValidationError,
+                       match="angle_step_deg .* is finer than the 0.001 deg"):
+        load_scenario(text)
+    path = tmp_path / "fine_step.cfg"
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
     assert main(["compare", str(path)]) == 1
