@@ -7,11 +7,17 @@ at 9 significant digits, every other column as str() writes it.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
 # Rows formatted per block: bounded memory with Python-float formatting speed.
 _BLOCK_ROWS = 4096
+
+
+def magnitude_db(mag) -> list[float]:
+    """20*log10 of each magnitude, floored at 1e-30 so a zero stays finite."""
+    return [20.0 * math.log10(m) for m in np.maximum(mag, 1e-30).tolist()]
 
 
 def write_csv(path, columns: dict) -> None:

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import write_csv
+from ._csvio import magnitude_db, write_csv
 from .scenario import Scenario
 from .signal_chain import RangeSpectrum
-
-
-class PeakAtBoundaryError(ValueError):
-    """Spectrum maximum sits on the grid edge; widen the angle grid."""
 
 
 @dataclass(frozen=True)
@@ -35,11 +31,6 @@ class AngleSpectrum:
     values: np.ndarray
     peak_index: int
     peak_angle_rad: float
-
-    @property
-    def peak_value(self) -> complex:
-        """Complex value at the grid maximum."""
-        return complex(self.values[self.peak_index])
 
 
 def _parabolic_vertex(x: np.ndarray, y: np.ndarray) -> float:
@@ -96,20 +87,6 @@ def beamform(r: RangeSpectrum, s: Scenario) -> AngleSpectrum:
                          peak_angle_rad=peak_angle)
 
 
-def refine_peak(a: AngleSpectrum) -> float:
-    """Sub-grid peak angle via parabolic interpolation of |x_A|^2 in
-    sin(alpha); raises PeakAtBoundaryError when the grid maximum is an
-    edge point."""
-    if a.angles_rad.size < 3:
-        raise PeakAtBoundaryError("angle grid needs at least 3 points to refine")
-    k = a.peak_index
-    if k == 0 or k == a.angles_rad.size - 1:
-        raise PeakAtBoundaryError(
-            f"spectrum peak at grid boundary ({math.degrees(a.angles_rad[k]):.4g} deg); "
-            "widen the angle grid")
-    return a.peak_angle_rad
-
-
 def unit_phasor_spectrum(s: Scenario) -> RangeSpectrum:
     """Ideal detected-bin values, bypassing the time-domain chain.
 
@@ -128,7 +105,6 @@ def unit_phasor_spectrum(s: Scenario) -> RangeSpectrum:
 
 def write_angle_csv(a: AngleSpectrum, path) -> None:
     """Dump the angle spectrum: columns alpha_deg, re, im, mag_db."""
-    mag = np.maximum(np.abs(a.values), 1e-30)
     write_csv(path, {"alpha_deg": np.degrees(a.angles_rad),
                      "re": a.values.real, "im": a.values.imag,
-                     "mag_db": [20.0 * math.log10(m) for m in mag.tolist()]})
+                     "mag_db": magnitude_db(np.abs(a.values))})

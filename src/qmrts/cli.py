@@ -14,9 +14,9 @@ from pathlib import Path
 
 from . import __version__
 from .beamformer import beamform, unit_phasor_spectrum, write_angle_csv
-from .closed_form import (AMBIGUITY_GAP_DB, closed_form_phase,
-                          closed_form_spectrum, peak_separation_db,
-                          predicted_peak, write_closed_form_csv)
+from .closed_form import (closed_form_phase, closed_form_spectrum,
+                          peak_separation_db, predicted_peak,
+                          write_closed_form_csv)
 from .experiment import AntennaSubset, emit_results, load_sweep_spec, run_sweep
 from .propagation import far_field_distance
 from .scenario import (AngleGrid, ConfigError, Scenario, ValidationError,
@@ -25,6 +25,11 @@ from .signal_chain import range_dft, synthesize_beat, write_range_csv
 
 # Pairwise detected-angle agreement gate for the exact model levels [deg].
 COMPARE_TOLERANCE_DEG = 0.02
+
+# Flag threshold for grating-lobe risk [dB amplitude gap].  Chosen with
+# margin: a 2-element 2-lambda TX array against a 4-element half-lambda RX
+# array already drops to a ~5 dB gap at 40 deg transmitter offset.
+AMBIGUITY_GAP_DB = 6.0
 
 
 def _read_config(path: Path) -> str:

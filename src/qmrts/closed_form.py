@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._csvio import write_csv
+from ._csvio import magnitude_db, write_csv
 from .beamformer import _peak
 from .propagation import C0
 from .scenario import FINE_STEP_DEG, Scenario
@@ -73,7 +73,7 @@ def spectrum_magnitude(s: Scenario, angles_rad: np.ndarray, mode: str) -> np.nda
     return gain * ktx * krx
 
 
-def closed_form_spectrum(s: Scenario, mode: str = "sinc") -> ClosedFormSpectrum:
+def closed_form_spectrum(s: Scenario, mode: str) -> ClosedFormSpectrum:
     """Evaluate the analytic spectrum on the scenario's angle grid."""
     angles = s.grid.angles_rad()
     return ClosedFormSpectrum(angles_rad=angles,
@@ -161,22 +161,10 @@ def peak_separation_db(s: Scenario) -> float:
     return 20.0 * math.log10(peaks[0] / peaks[1])
 
 
-# Flag threshold for grating-lobe risk [dB amplitude gap].  Chosen with
-# margin: a 2-element 2-lambda TX array against a 4-element half-lambda RX
-# array already drops to a ~5 dB gap at 40 deg transmitter offset.
-AMBIGUITY_GAP_DB = 6.0
-
-
-def ambiguous_peak(s: Scenario) -> bool:
-    """True when the top two closed-form peaks are within AMBIGUITY_GAP_DB."""
-    return peak_separation_db(s) < AMBIGUITY_GAP_DB
-
-
 def write_closed_form_csv(cf: ClosedFormSpectrum, path) -> None:
     """Dump spectrum: columns alpha_deg, re, im, mag_db, mode."""
     v = cf.magnitude * complex(math.cos(cf.phase_rad), math.sin(cf.phase_rad))
-    mag = np.maximum(cf.magnitude, 1e-30)
     write_csv(path, {"alpha_deg": np.degrees(cf.angles_rad),
                      "re": v.real, "im": v.imag,
-                     "mag_db": [20.0 * math.log10(m) for m in mag.tolist()],
+                     "mag_db": magnitude_db(cf.magnitude),
                      "mode": [cf.mode] * cf.angles_rad.size})

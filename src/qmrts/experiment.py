@@ -92,10 +92,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (displacement, subset) result.
-
-    far_field_ok is diagnostic only and not part of the CSV schema.
-    """
+    """One (displacement, subset) result."""
 
     d_rts_m: float
     theta_rx_deg: float
@@ -105,7 +102,6 @@ class SweepRow:
     detected_closedform_deg: float
     deviation_deg: float
     range_compensated: bool
-    far_field_ok: bool = True
 
 
 def displacement_to_theta_tx(theta_rx_rad: float, d_m: float, rc_m: float) -> float:
@@ -138,8 +134,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             theta_tx = displacement_to_theta_tx(theta_rx, d, rc)
             extra = math.sqrt(rc * rc + d * d) - rc if spec.range_compensation else 0.0
             point = with_theta_tx(base, theta_tx, extra)
-            warnings = point.validate()
-            far_ok = not warnings
+            point.validate()  # raises on an invalid point
             cube = synthesize_beat(point)
             rspec = range_dft(cube)
             for sub in spec.subsets:
@@ -155,7 +150,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                     detected_closedform_deg=cf_deg,
                     deviation_deg=full_deg - math.degrees(theta_rx),
                     range_compensated=spec.range_compensation,
-                    far_field_ok=far_ok,
                 ))
         except (ValueError, ArithmeticError) as exc:
             raise RuntimeError(

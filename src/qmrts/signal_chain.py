@@ -141,18 +141,9 @@ def bin_phase_frequency_scale(s: Scenario) -> float:
     return 1.0 + c.b_hz * (c.ns - 1) / (2.0 * c.fc_hz * c.ns)
 
 
-def write_beat_csv(b: BeatCube, path) -> None:
-    """Debug dump: columns ntx, nrx, n_or_k, re, im."""
-    _write_cube_csv(b.samples, path)
-
-
 def write_range_csv(r: RangeSpectrum, path) -> None:
     """Debug dump: columns ntx, nrx, n_or_k, re, im."""
-    _write_cube_csv(r.spectrum, path)
-
-
-def _write_cube_csv(cube: np.ndarray, path) -> None:
-    ntx, nrx, k = np.indices(cube.shape).reshape(3, -1)
-    flat = cube.reshape(-1)
+    ntx, nrx, k = np.indices(r.spectrum.shape).reshape(3, -1)
+    flat = r.spectrum.reshape(-1)
     write_csv(path, {"ntx": ntx, "nrx": nrx, "n_or_k": k,
                      "re": flat.real, "im": flat.imag})

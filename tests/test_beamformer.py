@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from qmrts import (AngleGrid, AngleSpectrum, AntennaSubset, ConfigError,
-                   PeakAtBoundaryError, beamform, predicted_peak, range_dft,
-                   refine_peak, synthesize_beat, unit_phasor_spectrum,
-                   write_angle_csv)
-from qmrts.beamformer import _peak
+from qmrts import (AngleGrid, AntennaSubset, ConfigError, beamform,
+                   predicted_peak, range_dft, synthesize_beat)
+from qmrts.beamformer import (_peak, unit_phasor_spectrum,
+                              write_angle_csv)
 from conftest import build_scenario, on_bin_tau_rts
 
 DEG = math.degrees
@@ -23,11 +22,12 @@ def test_boresight_coherent_gain():
     s = build_scenario(amplitude=2.0)
     s = build_scenario(amplitude=2.0, tau_rts_s=on_bin_tau_rts(s, 8))
     a = fullchain_spectrum(s)
-    assert abs(a.peak_value) == pytest.approx(2.0 * 1024 * 2 * 4, rel=1e-12)
+    peak = a.values[a.peak_index]
+    assert abs(peak) == pytest.approx(2.0 * 1024 * 2 * 4, rel=1e-12)
     assert abs(a.peak_angle_rad) < 1e-6
     center = a.angles_rad.size // 2
     assert a.peak_index == center
-    assert np.all(np.abs(a.values) <= abs(a.peak_value) * (1 + 1e-12))
+    assert np.all(np.abs(a.values) <= abs(peak) * (1 + 1e-12))
 
 
 def test_fullchain_peak_reference_offset(baseline):
@@ -72,25 +72,13 @@ def test_degenerate_single_rx_tracks_receiver():
 
 def test_refine_symmetric_triple_is_exact():
     angles = np.radians(np.array([-0.01, 0.0, 0.01]))
-    a = AngleSpectrum(angles_rad=angles,
-                      values=np.array([0.5, 1.0, 0.5], dtype=complex),
-                      peak_index=1, peak_angle_rad=0.0)
-    assert a.peak_value == 1.0 + 0j
-    assert refine_peak(a) == 0.0
-    assert _peak(angles, np.abs(a.values)) == (1, 0.0)
+    assert _peak(angles, np.array([0.5, 1.0, 0.5])) == (1, 0.0)
 
 
-def test_refine_peak_boundary_raises():
+def test_peak_on_grid_edge_falls_back_to_grid_angle():
     angles = np.radians(np.linspace(-1, 1, 5))
-    values = np.exp(-np.linspace(0, 4, 5)).astype(complex)  # max at edge
-    a = AngleSpectrum(angles_rad=angles, values=values, peak_index=0,
-                      peak_angle_rad=angles[0])
-    with pytest.raises(PeakAtBoundaryError):
-        refine_peak(a)
-    tiny = AngleSpectrum(angles_rad=angles[:2], values=values[:2],
-                         peak_index=0, peak_angle_rad=angles[0])
-    with pytest.raises(PeakAtBoundaryError):
-        refine_peak(tiny)
+    mag = np.exp(-np.linspace(0, 4, 5))  # max at edge
+    assert _peak(angles, mag) == (0, angles[0])
 
 
 def test_tie_break_smallest_angle():

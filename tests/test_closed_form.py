@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmrts import (C0, AngleGrid, ambiguous_peak, beamform, closed_form_phase,
-                   closed_form_spectrum, peak_separation_db, predicted_peak,
-                   range_dft, spectrum_magnitude, synthesize_beat,
-                   write_closed_form_csv)
-from qmrts import closed_form
+from qmrts import (AngleGrid, beamform, closed_form, peak_separation_db,
+                   predicted_peak, range_dft, synthesize_beat)
 from qmrts.beamformer import _peak
+from qmrts.cli import AMBIGUITY_GAP_DB
+from qmrts.closed_form import (closed_form_phase, closed_form_spectrum,
+                               spectrum_magnitude, write_closed_form_csv)
+from qmrts.propagation import C0
 from qmrts.scenario import FINE_STEP_DEG
 from conftest import build_scenario, on_bin_tau_rts, wrap_phase
 
@@ -133,17 +134,17 @@ def test_phase_constant_matches_fullchain_peak_phase():
     s = build_scenario(rc_m=0.3)
     s = build_scenario(rc_m=0.3, tau_rts_s=on_bin_tau_rts(s, 8))
     a = beamform(range_dft(synthesize_beat(s)), s)
-    got = np.angle(a.peak_value)
+    got = np.angle(a.values[a.peak_index])
     assert abs(wrap_phase(got - closed_form_phase(s))) < 1e-2
 
 
 def test_peak_separation_near_vs_grating():
     near = build_scenario(theta_tx_deg=2.0)
     assert peak_separation_db(near) == pytest.approx(10.608, abs=0.1)
-    assert not ambiguous_peak(near)
+    assert peak_separation_db(near) >= AMBIGUITY_GAP_DB
     wide = build_scenario(theta_tx_deg=40.0)
     assert peak_separation_db(wide) == pytest.approx(4.918, abs=0.1)
-    assert ambiguous_peak(wide)
+    assert peak_separation_db(wide) < AMBIGUITY_GAP_DB
 
 
 def test_peak_separation_flat_spectrum():

@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmrts import (AntennaSubset, ConfigError, SweepSpec, ValidationError,
-                   bin_phase_frequency_scale, displacement_to_theta_tx,
-                   emit_results, load_sweep_spec, read_results,
-                   rts_displacement, run_sweep, with_theta_tx)
+from qmrts import (AntennaSubset, ConfigError, ValidationError,
+                   bin_phase_frequency_scale, emit_results, rts_displacement,
+                   run_sweep)
+from qmrts.scenario import with_theta_tx
+from qmrts.experiment import (SweepSpec, displacement_to_theta_tx,
+                              load_sweep_spec, read_results)
 from conftest import build_scenario
 
 DEG = math.degrees
@@ -142,10 +144,13 @@ def test_range_compensation_is_range_level_only():
 
 
 def test_far_field_flag():
-    rows = run_sweep(small_spec(points=2, d_max=0.01, rc_m=0.05))
-    assert all(not r.far_field_ok for r in rows)
-    rows = run_sweep(small_spec(points=2, d_max=0.01))
-    assert all(r.far_field_ok for r in rows)
+    # A near-field sweep still runs; its points carry the far-field warning.
+    spec = small_spec(points=2, d_max=0.01, rc_m=0.05)
+    assert len(run_sweep(spec)) == 2 * len(spec.subsets)
+    rc, d = spec.base.rts.rc_m, spec.d_max_m
+    theta_tx = displacement_to_theta_tx(spec.base.rts.theta_rx_rad, d, rc)
+    point = with_theta_tx(spec.base, theta_tx, math.sqrt(rc * rc + d * d) - rc)
+    assert any("far-field" in w for w in point.validate())
 
 
 def test_emit_and_read_round_trip(tmp_path):

@@ -1,6 +1,8 @@
+import inspect
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import qmrts
@@ -24,7 +26,41 @@ def test_public_names_resolve():
 
 
 def test_public_names_follow_the_geometry_api():
-    assert "element_delays" in qmrts.__all__
+    from qmrts import propagation
+    assert callable(propagation.element_delays)
     for gone in ("PathDelays", "path_delays", "select_subset"):
         assert gone not in qmrts.__all__
         assert not hasattr(qmrts, gone)
+        assert not hasattr(propagation, gone)
+
+
+# The README's names, the config and error types, the loaders and the
+# grid that scripts reach as qmrts.<name>, and the sweep entry points.
+PUBLIC = {
+    "AngleGrid", "ChirpConfig", "ConfigError", "RadarArrayConfig",
+    "RtsChannelConfig", "Scenario", "ValidationError", "load_scenario",
+    "load_scenario_file", "rts_displacement", "BeatCube", "RangeSpectrum",
+    "bin_phase_frequency_scale", "range_dft", "synthesize_beat", "beamform",
+    "peak_separation_db", "predicted_peak", "AntennaSubset", "emit_results",
+    "load_sweep_spec_file", "run_sweep",
+}
+
+
+def test_public_api_is_pinned():
+    assert set(qmrts.__all__) == PUBLIC
+    exported = {k for k, v in vars(qmrts).items()
+                if not k.startswith("_") and not inspect.ismodule(v)}
+    assert exported == PUBLIC
+
+
+def test_removed_api_is_gone():
+    from qmrts import beamformer, cli, closed_form, experiment, signal_chain
+    for name, module in (("refine_peak", beamformer),
+                         ("PeakAtBoundaryError", beamformer),
+                         ("ambiguous_peak", closed_form),
+                         ("AMBIGUITY_GAP_DB", closed_form),
+                         ("write_beat_csv", signal_chain)):
+        assert not hasattr(qmrts, name), name
+        assert not hasattr(module, name), name
+    assert cli.AMBIGUITY_GAP_DB == 6.0
+    assert "far_field_ok" not in {f.name for f in fields(experiment.SweepRow)}

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qmrts import (C0, element_delays, expected_bin_phase, far_field_distance,
-                   with_theta_tx)
+from qmrts.scenario import with_theta_tx
+from qmrts.propagation import C0, element_delays, far_field_distance
+from qmrts.signal_chain import expected_bin_phase
 from conftest import build_scenario
 
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmrts import (C0, AngleGrid, ConfigError, ValidationError, emit_scenario,
-                   load_scenario, rts_displacement, with_theta_tx)
+from qmrts import (AngleGrid, ConfigError, ValidationError, load_scenario,
+                   rts_displacement)
+from qmrts.scenario import emit_scenario, with_theta_tx
+from qmrts.propagation import C0
 from qmrts.cli import main
 from conftest import build_scenario
 

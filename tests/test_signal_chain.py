@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from qmrts import (BeatCube, bin_phase_frequency_scale, detected_bin_phase,
-                   expected_bin_phase, range_dft, synthesize_beat,
-                   write_beat_csv, write_range_csv)
+from qmrts import (BeatCube, bin_phase_frequency_scale, range_dft,
+                   synthesize_beat)
+from qmrts.signal_chain import (detected_bin_phase, expected_bin_phase,
+                                write_range_csv)
 from conftest import build_scenario, on_bin_tau_rts, wrap_phase
 
 
@@ -175,18 +176,14 @@ def test_bin_phase_frequency_scale(boresight):
 
 
 def test_csv_dumps(tmp_path, boresight):
-    b = synthesize_beat(boresight)
-    r = range_dft(b)
-    for writer, obj, name in ((write_beat_csv, b, "beat.csv"),
-                              (write_range_csv, r, "range.csv")):
-        path = tmp_path / name
-        writer(obj, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["ntx", "nrx", "n_or_k", "re", "im"]
-        assert len(rows) == 1 + 2 * 4 * 1024
-        assert rows[1][:3] == ["0", "0", "0"]
-    with open(tmp_path / "beat.csv", newline="") as fh:
-        first = list(csv.reader(fh))[1]
-    val = complex(float(first[3]), float(first[4]))
-    assert abs(val) == pytest.approx(1.0, rel=1e-6)  # unit-magnitude phasor
+    r = range_dft(synthesize_beat(boresight))
+    path = tmp_path / "range.csv"
+    write_range_csv(r, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["ntx", "nrx", "n_or_k", "re", "im"]
+    assert len(rows) == 1 + 2 * 4 * 1024
+    assert rows[1][:3] == ["0", "0", "0"]
+    assert rows[-1][:3] == ["1", "3", "1023"]
+    val = complex(float(rows[1][3]), float(rows[1][4]))
+    assert val == pytest.approx(r.spectrum[0, 0, 0], rel=1e-8)
