@@ -73,7 +73,7 @@ def transcript(name: str, workdir: Path) -> str:
                  "--- stdout\n", out.getvalue(), "--- stderr\n", err.getvalue()]
         for path in files:
             parts += [f"--- {path}\n", Path(path).read_bytes().decode("utf-8")]
-            os.remove(path)
+            os.remove(path)  # a later case must not find a stale copy
     finally:
         os.chdir(cwd)
     return "".join(parts)
