@@ -17,13 +17,13 @@ __version__ = "0.1.0"
 
 from .scenario import (AngleGrid, ChirpConfig, ConfigError, RadarArrayConfig,
                        RtsChannelConfig, Scenario, ValidationError,
-                       load_scenario, load_scenario_file, rts_displacement)
+                       load_scenario, load_scenario_file)
 from .signal_chain import (BeatCube, RangeSpectrum, bin_phase_frequency_scale,
                            range_dft, synthesize_beat)
 from .beamformer import beamform
 from .closed_form import peak_separation_db, predicted_peak
 from .experiment import (AntennaSubset, emit_results, load_sweep_spec_file,
-                         run_sweep)
+                         rts_displacement, run_sweep)
 
 __all__ = [
     "AngleGrid", "ChirpConfig", "ConfigError", "RadarArrayConfig",

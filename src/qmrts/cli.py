@@ -14,13 +14,14 @@ from pathlib import Path
 
 from . import __version__
 from .beamformer import beamform, unit_phasor_spectrum, write_angle_csv
-from .closed_form import (closed_form_phase, closed_form_spectrum,
+from .closed_form import (MODES, closed_form_phase, closed_form_spectrum,
                           peak_separation_db, predicted_peak,
                           write_closed_form_csv)
-from .experiment import AntennaSubset, emit_results, load_sweep_spec, run_sweep
+from .experiment import (AntennaSubset, emit_results, load_sweep_spec,
+                         rts_displacement, run_sweep)
 from .propagation import far_field_distance
-from .scenario import (AngleGrid, ConfigError, Scenario, ValidationError,
-                       parse_config, rts_displacement, scenario_from_config)
+from .scenario import (ConfigError, Scenario, ValidationError, parse_config,
+                       scenario_from_config)
 from .signal_chain import range_dft, synthesize_beat, write_range_csv
 
 # Pairwise detected-angle agreement gate for the exact model levels [deg].
@@ -38,18 +39,14 @@ def _read_config(path: Path) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def _load(args) -> Scenario:
-    """Scenario of the config file with the grid override applied,
-    validated once; its warnings are printed."""
-    s = scenario_from_config(parse_config(_read_config(Path(args.config))))
+def _load(args) -> tuple[Scenario, list[str]]:
+    """Scenario of the config file with the grid step override applied,
+    and the warnings of its one validation."""
+    sections = parse_config(_read_config(Path(args.config)))
     if args.grid_step_deg is not None:
-        grid = AngleGrid.from_degrees(math.degrees(s.grid.min_rad),
-                                      math.degrees(s.grid.max_rad),
-                                      args.grid_step_deg)
-        s = replace(s, grid=grid)
-    for msg in s.validate():
-        print(f"warning: {msg}")
-    return s
+        sections.setdefault("grid", {})["angle_step_deg"] = args.grid_step_deg
+    s = scenario_from_config(sections)
+    return s, s.validate()
 
 
 def _apply_subset(rspec, s, label):
@@ -59,16 +56,14 @@ def _apply_subset(rspec, s, label):
 
 
 def cmd_validate(args) -> int:
-    path = Path(args.config)
     try:
-        s = scenario_from_config(parse_config(_read_config(path)))
-        warnings = s.validate()
+        s, warnings = _load(args)
     except (ConfigError, ValidationError) as exc:
         print(f"fail: {exc}", file=sys.stderr)
         return 1
     fs = s.sample_rate_hz
     fb = s.max_beat_frequency_hz()
-    print(f"scenario: {path}")
+    print(f"scenario: {Path(args.config)}")
     print(f"  wavelength        {s.wavelength_m * 1e3:.6g} mm")
     print(f"  sample rate       {fs:.6g} Hz")
     print(f"  max beat freq     {fb:.6g} Hz (Nyquist margin {fs / 2 - fb:.6g} Hz)")
@@ -81,7 +76,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    s = _load(args)
+    s, warnings = _load(args)
+    for msg in warnings:
+        print(f"warning: {msg}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -131,7 +128,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    s = _load(args)
+    s, warnings = _load(args)
+    for msg in warnings:
+        print(f"warning: {msg}")
     rspec = range_dft(synthesize_beat(s))
     rsub, ssub = _apply_subset(rspec, s, args.subset)
 
@@ -183,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="check a config and print derived values")
     v.add_argument("config")
-    v.set_defaults(func=cmd_validate)
+    v.set_defaults(func=cmd_validate, grid_step_deg=None)
 
     sim = sub.add_parser("simulate", help="single-shot simulation to CSV files")
     add_common(sim)
     sim.add_argument("out_dir", help="output directory")
     sim.add_argument("--zero-pad", type=int, default=1,
                      help="power-of-two DFT zero-padding factor")
-    sim.add_argument("--mode", choices=("sinc", "dirichlet"), default="sinc",
+    sim.add_argument("--mode", choices=MODES, default="sinc",
                      help="closed-form kernel variant")
     sim.set_defaults(func=cmd_simulate)
 

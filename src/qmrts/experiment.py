@@ -17,12 +17,9 @@ from pathlib import Path
 from ._csvio import write_csv
 from .beamformer import beamform
 from .closed_form import predicted_peak
-from .scenario import (ConfigError, Scenario, ValidationError, parse_config,
-                       scenario_from_config, with_theta_tx)
+from .scenario import (ConfigError, Scenario, ValidationError, config_section,
+                       parse_config, scenario_from_config)
 from .signal_chain import RangeSpectrum, range_dft, synthesize_beat
-
-SWEEP_DEFAULTS = {"d_max_m": 0.1, "points": 51,
-                  "subsets": "2x4, 2x2, 1x4", "range_compensation": True}
 
 
 @dataclass(frozen=True)
@@ -104,6 +101,15 @@ class SweepRow:
     range_compensated: bool
 
 
+def rts_displacement(s: Scenario) -> float:
+    """Effective lateral separation of the RTS antenna pair [m].
+
+    Signed: negative when the transmitter sits below the receiver.
+    """
+    r = s.rts
+    return r.rc_m * (math.sin(r.theta_tx_rad) - math.sin(r.theta_rx_rad))
+
+
 def displacement_to_theta_tx(theta_rx_rad: float, d_m: float, rc_m: float) -> float:
     """Transmitter azimuth that realizes lateral displacement d.
 
@@ -115,6 +121,14 @@ def displacement_to_theta_tx(theta_rx_rad: float, d_m: float, rc_m: float) -> fl
             f"displacement {d_m} m at rc_m={rc_m} puts sin(theta_tx)={arg:.6g} "
             "outside [-1, 1]")
     return math.asin(arg)
+
+
+def with_theta_tx(s: Scenario, theta_tx_rad: float,
+                  extra_return_path_m: float = 0.0) -> Scenario:
+    """Scenario with the RTS transmitter moved (sweep helper)."""
+    rts = replace(s.rts, theta_tx_rad=theta_tx_rad,
+                  extra_return_path_m=extra_return_path_m)
+    return replace(s, rts=rts)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -189,15 +203,6 @@ def read_results(path) -> list[SweepRow]:
     return rows
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = str(raw).strip().lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    raise ConfigError(f'"{key}" must be true or false (got {raw!r})')
-
-
 def load_sweep_spec(text: str) -> SweepSpec:
     """Build a SweepSpec from a config document with a [sweep] section."""
     sections = parse_config(text)
@@ -205,17 +210,12 @@ def load_sweep_spec(text: str) -> SweepSpec:
     base.validate()
     if "sweep" not in sections:
         raise ConfigError("missing section [sweep]")
-    sw = dict(SWEEP_DEFAULTS)
-    sw.update(sections["sweep"])
-    labels = [tok.strip() for tok in str(sw["subsets"]).split(",") if tok.strip()]
+    sw = config_section(sections, "sweep")
+    labels = [tok.strip() for tok in sw["subsets"].split(",") if tok.strip()]
     subsets = tuple(AntennaSubset.from_label(lbl, base.array.ntx, base.array.nrx)
                     for lbl in labels)
-    comp = sw["range_compensation"]
-    if isinstance(comp, str):
-        comp = _parse_bool(comp, "range_compensation")
-    return SweepSpec(base=base, d_max_m=float(sw["d_max_m"]),
-                     points=int(sw["points"]), subsets=subsets,
-                     range_compensation=comp)
+    return SweepSpec(base=base, d_max_m=sw["d_max_m"], points=sw["points"],
+                     subsets=subsets, range_compensation=sw["range_compensation"])
 
 
 def load_sweep_spec_file(path) -> SweepSpec:

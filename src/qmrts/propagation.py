@@ -30,11 +30,9 @@ def element_delays(s: "Scenario") -> tuple[np.ndarray, np.ndarray]:
     internal delay tau_rts_s.
     """
     a, r = s.array, s.rts
-    ntx = np.arange(a.ntx, dtype=float)[:, None]
-    nrx = np.arange(a.nrx, dtype=float)[None, :]
-    tau_tx = (r.rc_m + a.dtx_m * ntx * math.sin(r.theta_rx_rad)) / C0
+    tau_tx = (r.rc_m + a.tx_positions_m()[:, None] * math.sin(r.theta_rx_rad)) / C0
     tau_rx = (r.rc_m + r.extra_return_path_m
-              + a.drx_m * nrx * math.sin(r.theta_tx_rad)) / C0
+              + a.rx_positions_m()[None, :] * math.sin(r.theta_tx_rad)) / C0
     return tau_tx, tau_rx
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,36 +209,42 @@ class Scenario:
         return warnings
 
 
-def rts_displacement(s: Scenario) -> float:
-    """Effective lateral separation of the RTS antenna pair [m].
-
-    Signed: negative when the transmitter sits below the receiver.
-    """
-    r = s.rts
-    return r.rc_m * (math.sin(r.theta_tx_rad) - math.sin(r.theta_rx_rad))
+REQUIRED = object()   # default of a key the config must give
 
 
-# Config schema: section -> key -> converter.  Spacing keys are special-cased
-# (exactly one of the _m / _lambda pair must be present).
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low not in ("true", "false"):
+        raise ValueError(raw)
+    return low == "true"
+
+
+# Config schema: section -> key -> (converter, default).  A spacing key
+# defaults to None (absent): exactly one of each _m / _lambda pair must
+# be given.
 _SCHEMA = {
-    "chirp": {"fc_hz": float, "b_hz": float, "t_s": float, "ns": int},
-    "array": {"ntx": int, "nrx": int,
-              "dtx_m": float, "dtx_lambda": float,
-              "drx_m": float, "drx_lambda": float},
-    "rts": {"rc_m": float, "theta_rx_deg": float, "theta_tx_deg": float,
-            "tau_rts_s": float, "f_rts_hz": float, "amplitude": float},
-    "grid": {"angle_min_deg": float, "angle_max_deg": float,
-             "angle_step_deg": float},
-    "sweep": {"d_max_m": float, "points": int, "subsets": str,
-              "range_compensation": str},
+    "chirp": {"fc_hz": (float, REQUIRED), "b_hz": (float, REQUIRED),
+              "t_s": (float, 100e-6), "ns": (int, 1024)},
+    "array": {"ntx": (int, REQUIRED), "nrx": (int, REQUIRED),
+              "dtx_m": (float, None), "dtx_lambda": (float, None),
+              "drx_m": (float, None), "drx_lambda": (float, None)},
+    "rts": {"rc_m": (float, REQUIRED), "theta_rx_deg": (float, 0.0),
+            "theta_tx_deg": (float, 0.0), "tau_rts_s": (float, 0.0),
+            "f_rts_hz": (float, 0.0), "amplitude": (float, 1.0)},
+    "grid": {"angle_min_deg": (float, -90.0), "angle_max_deg": (float, 90.0),
+             "angle_step_deg": (float, 0.01)},
+    "sweep": {"d_max_m": (float, 0.1), "points": (int, 51),
+              "subsets": (str, "2x4, 2x2, 1x4"),
+              "range_compensation": (_parse_bool, True)},
 }
 
 
 def parse_config(text: str) -> dict[str, dict[str, object]]:
     """Parse and schema-check a config document into typed section dicts.
 
-    Unknown sections or keys are a hard error.  Scenario-level invariants
-    are not checked here.
+    Unknown sections or keys are a hard error.  Absent keys are not
+    defaulted (see config_section), and scenario-level invariants are not
+    checked here.
     """
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=("#", ";"))
@@ -256,9 +262,8 @@ def parse_config(text: str) -> dict[str, dict[str, object]]:
         for key, raw in cp.items(section):
             if key not in known:
                 raise ConfigError(f'unknown key "{key}" in [{section}]')
-            conv = known[key]
             try:
-                values[key] = raw if conv is str else conv(raw)
+                values[key] = known[key][0](raw)
             except ValueError as exc:
                 raise ConfigError(
                     f'bad value for "{key}" in [{section}]: {raw!r}') from exc
@@ -266,19 +271,31 @@ def parse_config(text: str) -> dict[str, dict[str, object]]:
     return out
 
 
-def _require(values: dict, section: str, key: str):
-    if key not in values:
-        raise ConfigError(f'missing key "{key}" in [{section}]')
-    return values[key]
+def config_section(sections: dict[str, dict[str, object]],
+                   name: str) -> dict[str, object]:
+    """Every key of section [name], absent ones set to their schema default.
+
+    A missing key without a default, or a missing section that has such a
+    key, is a ConfigError; any other missing section counts as empty.
+    """
+    schema = _SCHEMA[name]
+    if name not in sections and any(d is REQUIRED for _, d in schema.values()):
+        raise ConfigError(f"missing section [{name}]")
+    given = sections.get(name, {})
+    values = {}
+    for key, (_, default) in schema.items():
+        values[key] = given.get(key, default)
+        if values[key] is REQUIRED:
+            raise ConfigError(f'missing key "{key}" in [{name}]')
+    return values
 
 
 def _resolve_spacing(values: dict, name: str, chirp: ChirpConfig) -> float:
     key_m, key_l = f"{name}_m", f"{name}_lambda"
-    has_m, has_l = key_m in values, key_l in values
-    if has_m == has_l:
+    if (values[key_m] is None) == (values[key_l] is None):
         raise ConfigError(
             f'exactly one of "{key_m}" or "{key_l}" must be given in [array]')
-    if has_m:
+    if values[key_m] is not None:
         return values[key_m]
     # Spacings are resolved before validate() runs, so a carrier that
     # gives no finite, positive wavelength is named here.
@@ -295,42 +312,29 @@ def _resolve_spacing(values: dict, name: str, chirp: ChirpConfig) -> float:
 
 def scenario_from_config(sections: dict[str, dict[str, object]]) -> Scenario:
     """Build a Scenario from parse_config output; invariants are not checked."""
-    for required in ("chirp", "array", "rts"):
-        if required not in sections:
-            raise ConfigError(f"missing section [{required}]")
+    chirp = ChirpConfig(**config_section(sections, "chirp"))
 
-    ch = sections["chirp"]
-    chirp = ChirpConfig(
-        fc_hz=_require(ch, "chirp", "fc_hz"),
-        b_hz=_require(ch, "chirp", "b_hz"),
-        t_s=ch.get("t_s", 100e-6),
-        ns=ch.get("ns", 1024),
-    )
-
-    ar = sections["array"]
+    ar = config_section(sections, "array")
     array = RadarArrayConfig(
-        ntx=_require(ar, "array", "ntx"),
-        nrx=_require(ar, "array", "nrx"),
+        ntx=ar["ntx"],
+        nrx=ar["nrx"],
         dtx_m=_resolve_spacing(ar, "dtx", chirp),
         drx_m=_resolve_spacing(ar, "drx", chirp),
     )
 
-    rt = sections["rts"]
+    rt = config_section(sections, "rts")
     rts = RtsChannelConfig(
-        rc_m=_require(rt, "rts", "rc_m"),
-        theta_rx_rad=math.radians(rt.get("theta_rx_deg", 0.0)),
-        theta_tx_rad=math.radians(rt.get("theta_tx_deg", 0.0)),
-        tau_rts_s=rt.get("tau_rts_s", 0.0),
-        f_rts_hz=rt.get("f_rts_hz", 0.0),
-        amplitude=rt.get("amplitude", 1.0),
+        rc_m=rt["rc_m"],
+        theta_rx_rad=math.radians(rt["theta_rx_deg"]),
+        theta_tx_rad=math.radians(rt["theta_tx_deg"]),
+        tau_rts_s=rt["tau_rts_s"],
+        f_rts_hz=rt["f_rts_hz"],
+        amplitude=rt["amplitude"],
     )
 
-    gr = sections.get("grid", {})
+    gr = config_section(sections, "grid")
     grid = AngleGrid.from_degrees(
-        gr.get("angle_min_deg", -90.0),
-        gr.get("angle_max_deg", 90.0),
-        gr.get("angle_step_deg", 0.01),
-    )
+        gr["angle_min_deg"], gr["angle_max_deg"], gr["angle_step_deg"])
 
     return Scenario(chirp=chirp, array=array, rts=rts, grid=grid)
 
@@ -399,10 +403,3 @@ def emit_scenario(s: Scenario) -> str:
     buf.write(f"angle_step_deg = {_degrees_exact(g.step_rad)!r}\n")
     return buf.getvalue()
 
-
-def with_theta_tx(s: Scenario, theta_tx_rad: float,
-                  extra_return_path_m: float = 0.0) -> Scenario:
-    """Scenario with the RTS transmitter moved (sweep helper)."""
-    rts = replace(s.rts, theta_tx_rad=theta_tx_rad,
-                  extra_return_path_m=extra_return_path_m)
-    return replace(s, rts=rts)

@@ -1,9 +1,18 @@
 import csv
+import importlib.util
+import math
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from qmrts import cli
 from qmrts.cli import main
+from qmrts.experiment import SweepSpec
 from conftest import BASELINE_CFG
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 SWEEP_SECTION = """
 [sweep]
@@ -196,3 +205,58 @@ def test_io_failure_exit_code(sweep_cfg_path, tmp_path, capsys):
     target = tmp_path / "missing-dir" / "sweep.csv"
     assert main(["sweep", str(sweep_cfg_path), str(target)]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+class Loaded(Exception):
+    """Carries what a command loaded out of the stage that would use it."""
+
+
+def stop_after_load(monkeypatch):
+    """Make every command stop, raising Loaded, right after its config load."""
+    def stop(obj, *args, **kwargs):
+        raise Loaded(obj)
+    monkeypatch.setattr(cli, "synthesize_beat", stop)
+    monkeypatch.setattr(cli, "run_sweep", stop)
+
+
+def loaded(argv):
+    with pytest.raises(Loaded) as info:
+        main(argv)
+    return info.value.args[0]
+
+
+def test_grid_step_override_keeps_configured_bounds(tmp_path, monkeypatch):
+    # -48 deg does not survive radians -> degrees -> radians bit for bit.
+    path = tmp_path / "grid.cfg"
+    path.write_text(BASELINE_CFG.replace("angle_min_deg = -90", "angle_min_deg = -48")
+                    .replace("angle_max_deg = 90", "angle_max_deg = 57"))
+    stop_after_load(monkeypatch)
+    configured = loaded(["compare", str(path)]).grid
+    assert loaded(["compare", str(path), "--grid-step-deg", "0.01"]).grid == configured
+    assert loaded(["compare", str(path), "--grid-step-deg", "0.05"]).grid == replace(
+        configured, step_rad=math.radians(0.05))
+
+
+def test_every_benchmark_config_loads(tmp_path, monkeypatch):
+    # The first 40 jobs of seed 1 of each perfbench workload, run through
+    # the CLI up to the end of its config load.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    stop_after_load(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    for name in workloads.WORKLOADS:
+        for index in range(40):
+            job = workloads.make_job(name, 1, index)
+            for file_name, text in job.files.items():
+                Path(file_name).write_text(text, encoding="utf-8")
+            got = loaded(list(job.argv))
+            if isinstance(got, SweepSpec):
+                assert got.points == job.expect["points"]
+                assert tuple(sub.label for sub in got.subsets) == job.expect["subsets"]
+                got = got.base
+            assert got.chirp.ns == job.expect["ns"]
+            if "--grid-step-deg" in job.argv:
+                step = job.argv[job.argv.index("--grid-step-deg") + 1]
+                assert got.grid.step_rad == math.radians(float(step))

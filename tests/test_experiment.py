@@ -7,9 +7,8 @@ import pytest
 from qmrts import (AntennaSubset, ConfigError, ValidationError,
                    bin_phase_frequency_scale, emit_results, rts_displacement,
                    run_sweep)
-from qmrts.scenario import with_theta_tx
 from qmrts.experiment import (SweepSpec, displacement_to_theta_tx,
-                              load_sweep_spec, read_results)
+                              load_sweep_spec, read_results, with_theta_tx)
 from conftest import build_scenario
 
 DEG = math.degrees
@@ -64,6 +63,8 @@ def test_spec_validation():
         small_spec(subsets=("2x4", "2x4"))
     with pytest.raises(ValidationError, match="at least one"):
         small_spec(subsets=())
+    with pytest.raises(ValidationError, match="past 90 deg"):
+        small_spec(d_max=0.5, theta_rx_deg=80.0)  # rc_m = 1
 
 
 def test_sweep_cardinality_and_grouping():

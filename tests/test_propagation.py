@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmrts.scenario import with_theta_tx
+from qmrts.experiment import with_theta_tx
 from qmrts.propagation import C0, element_delays, far_field_distance
 from qmrts.signal_chain import expected_bin_phase
 from conftest import build_scenario

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from qmrts import (AngleGrid, ConfigError, ValidationError, load_scenario,
                    rts_displacement)
-from qmrts.scenario import emit_scenario, with_theta_tx
+from qmrts.experiment import load_sweep_spec, with_theta_tx
+from qmrts.scenario import _SCHEMA, REQUIRED, emit_scenario
 from qmrts.propagation import C0
 from qmrts.cli import main
 from conftest import build_scenario
@@ -47,6 +49,35 @@ rc_m = 1.0
     assert s.rts.tau_rts_s == 0.0
     assert s.rts.amplitude == 1.0
     assert s.grid.n_points == 18001
+
+
+def test_readme_config_matches_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    load_sweep_spec(block)
+    shown = set()
+    for line in block.splitlines():
+        head = re.match(r"\[(\w+)\]", line)
+        if head:
+            section = head.group(1)
+            continue
+        key, _, value = line.split("#")[0].partition("=")
+        if not value:
+            continue
+        key = key.strip()
+        conv, default = _SCHEMA[section][key]
+        note = re.search(r"\(default (\S+)\)", line)
+        if note:
+            assert conv(note.group(1)) == default, line
+        elif section in ("grid", "sweep"):  # these show only defaults
+            assert conv(value.strip()) == default, line
+        else:
+            assert default is REQUIRED or default is None, f"no default noted: {line}"
+        shown.add((section, key))
+    for section, keys in _SCHEMA.items():
+        for key, (_, default) in keys.items():
+            if default is not REQUIRED and default is not None:
+                assert (section, key) in shown, f"[{section}] {key} not in README"
 
 
 def test_spacing_in_meters_accepted(baseline_cfg):
