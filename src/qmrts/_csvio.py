@@ -1,18 +1,22 @@
 """The one CSV format of every qmrts output file.
 
 A header row of column names, then one row per element: float columns
-at 9 significant digits, every other column as str() writes it.
+as "%.9g" formats them, every other column as str() writes it, comma
+separated and ended by "\n".  No cell is quoted, so a string cell that
+would need quoting is refused.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
 
 # Rows formatted per block: bounded memory with Python-float formatting speed.
 _BLOCK_ROWS = 4096
+# Characters a CSV reader would take as a cell or row boundary: a cell
+# holding one would need quoting.
+_UNSAFE = frozenset(',"\r\n')
 
 
 def magnitude_db(mag) -> list[float]:
@@ -23,14 +27,14 @@ def magnitude_db(mag) -> list[float]:
 def write_csv(path, columns: dict) -> None:
     """Write equal-length columns, keyed by their header names, to path."""
     cols = [np.asarray(c) for c in columns.values()]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError(f"columns of unequal length: {[len(c) for c in cols]}")
+    for name, c in zip(columns, cols):
+        if c.dtype.kind not in "biuf" and _UNSAFE & set("".join(map(str, c.tolist()))):
+            raise ValueError(f"column {name!r} has a cell with , \" \\r or \\n")
+    row = ",".join("%.9g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(columns)
+        fh.write(",".join(columns) + "\n")
         for start in range(0, len(cols[0]), _BLOCK_ROWS):
-            cells = []
-            for c in cols:
-                part = c[start:start + _BLOCK_ROWS].tolist()
-                if c.dtype.kind == "f":
-                    part = [f"{v:.9g}" for v in part]
-                cells.append(part)
-            w.writerows(zip(*cells))
+            parts = [c[start:start + _BLOCK_ROWS].tolist() for c in cols]
+            fh.write("".join(map(row.__mod__, zip(*parts))))
