@@ -67,24 +67,35 @@ def beamform(r: RangeSpectrum, s: Scenario) -> AngleSpectrum:
 
     Element positions come from s.array, whose shape r must match.
     """
+    return beamform_each([r], s)[0]
+
+
+def beamform_each(spectra: list[RangeSpectrum], s: Scenario) -> list[AngleSpectrum]:
+    """Steer several range spectra of one scenario in one pass.
+
+    Each steering row is built once and added into every output in (i, j)
+    order, so each output holds the same floats as its own pass would.
+    Only one row is alive at a time.
+    """
     a = s.array
-    values = r.peak_values
-    if values.shape != (a.ntx, a.nrx):
-        raise ValueError(
-            f"range spectrum has {values.shape[0]}x{values.shape[1]} elements "
-            f"but the scenario array is {a.ntx}x{a.nrx}")
+    values = [r.peak_values for r in spectra]
+    for v in values:
+        if v.shape != (a.ntx, a.nrx):
+            raise ValueError(
+                f"range spectrum has {v.shape[0]}x{v.shape[1]} elements "
+                f"but the scenario array is {a.ntx}x{a.nrx}")
     tx, rx = a.tx_positions_m(), a.rx_positions_m()
     angles = s.grid.angles_rad()
     sin_a = np.sin(angles)
     lam = s.wavelength_m
-    out = np.zeros(angles.size, dtype=complex)
+    outs = [np.zeros(angles.size, dtype=complex) for _ in values]
     for i in range(a.ntx):
         for j in range(a.nrx):
             pos = tx[i] + rx[j]
-            out += values[i, j] * np.exp(-2j * np.pi * pos * sin_a / lam)
-    k, peak_angle = _peak(angles, np.abs(out))
-    return AngleSpectrum(angles_rad=angles, values=out, peak_index=k,
-                         peak_angle_rad=peak_angle)
+            row = np.exp(-2j * np.pi * pos * sin_a / lam)
+            for out, v in zip(outs, values):
+                out += v[i, j] * row
+    return [AngleSpectrum(angles, out, *_peak(angles, np.abs(out))) for out in outs]
 
 
 def unit_phasor_spectrum(s: Scenario) -> RangeSpectrum:

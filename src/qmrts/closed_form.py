@@ -120,28 +120,33 @@ def predicted_peak(s: Scenario, mode: str) -> float:
     maximum: a candidate.  The fine pass evaluates COARSE_STRIDE points
     either side of each candidate, which holds every such point and its
     two neighbours (a point on a coarse sample is a candidate itself).
-    Points left out stay 0, below any maximum, so _peak finds the same
-    argmax, ties and edge fallback as on the full grid.
+    _peak then sees the evaluated points in index order: its argmax, ties
+    and vertex are those of the full grid, and an evaluated end point is
+    the grid's own first or last point.  Only the evaluated angles are
+    computed (AngleGrid.angles_at).
     """
-    angles = replace(s.grid, step_rad=math.radians(FINE_STEP_DEG)).angles_rad()
-    n = angles.size
+    fine_grid = replace(s.grid, step_rad=math.radians(FINE_STEP_DEG))
+    n = fine_grid.n_points
     coarse = np.append(np.arange(0, n - 1, COARSE_STRIDE), n - 1)
-    coarse_mag = spectrum_magnitude(s, angles[coarse], mode)
+    coarse_angles = fine_grid.angles_at(coarse)
+    coarse_mag = spectrum_magnitude(s, coarse_angles, mode)
 
     a = s.array
     gain = s.rts.amplitude * s.chirp.ns * a.ntx * a.nrx
     band = math.pi * (a.ntx * a.dtx_m + a.nrx * a.drx_m) / s.wavelength_m
-    h = float(np.diff(angles[coarse]).max())
+    h = float(np.diff(coarse_angles).max())
     margin = gain * (band * band + band) * h * h / 8.0
     candidates = coarse[coarse_mag >= coarse_mag.max() - margin]
 
     window = np.arange(-COARSE_STRIDE, COARSE_STRIDE + 1)
-    evaluate = np.zeros(n, dtype=bool)
-    evaluate[np.clip(candidates[:, None] + window, 0, n - 1)] = True
-    fine = np.flatnonzero(evaluate)
-    mag = np.zeros(n)
-    mag[fine] = spectrum_magnitude(s, angles[fine], mode)
-    return _peak(angles, mag)[1]
+    windows = np.clip(candidates[:, None] + window, 0, n - 1).ravel()
+    # The windows ascend and overlap: keep each index where it first
+    # exceeds all before it.  (np.unique would sort, and its first call
+    # imports numpy.ma, about 16 ms per process.)
+    seen = np.maximum.accumulate(windows)
+    fine = windows[np.append(True, windows[1:] > seen[:-1])]
+    angles = fine_grid.angles_at(fine)
+    return _peak(angles, spectrum_magnitude(s, angles, mode))[1]
 
 
 def peak_separation_db(s: Scenario) -> float:

@@ -6,7 +6,7 @@ import pytest
 
 from qmrts import (AngleGrid, AntennaSubset, ConfigError, beamform,
                    predicted_peak, range_dft, synthesize_beat)
-from qmrts.beamformer import (_peak, unit_phasor_spectrum,
+from qmrts.beamformer import (_peak, beamform_each, unit_phasor_spectrum,
                               write_angle_csv)
 from conftest import build_scenario, on_bin_tau_rts
 
@@ -127,6 +127,50 @@ def test_beamform_rejects_mismatched_shape(baseline):
     rsub, _ = cut("1x4", r, baseline)
     with pytest.raises(ValueError, match="1x4 elements .* array is 2x4"):
         beamform(rsub, baseline)
+
+
+def reference_steering_sum(r, s):
+    """Test-local loop: the steering double sum as beamform computed it
+    before rows were shared, one exponential per element and spectrum."""
+    a = s.array
+    tx, rx = a.tx_positions_m(), a.rx_positions_m()
+    sin_a = np.sin(s.grid.angles_rad())
+    out = np.zeros(sin_a.size, dtype=complex)
+    for i in range(a.ntx):
+        for j in range(a.nrx):
+            pos = tx[i] + rx[j]
+            out += r.peak_values[i, j] * np.exp(-2j * np.pi * pos * sin_a / s.wavelength_m)
+    return out
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(theta_tx_deg=2.0),                                     # reference 2x4
+    dict(ntx=1, nrx=1, theta_rx_deg=25.0, theta_tx_deg=-10.0),
+    dict(ntx=4, nrx=16, dtx_lambda=8.0, drx_lambda=0.5,         # compare board
+         theta_rx_deg=10.0, theta_tx_deg=11.0, grid_step_deg=0.002),
+], ids=["2x4", "1x1", "4x16-0.002deg"])
+def test_beamform_each_equals_separate_calls(kwargs):
+    s = build_scenario(**kwargs)
+    spectra = [range_dft(synthesize_beat(s)), unit_phasor_spectrum(s)]
+    shared = beamform_each(spectra, s)
+    assert len(shared) == 2
+    for got, r in zip(shared, spectra):
+        want = beamform(r, s)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.peak_index == want.peak_index
+        assert got.peak_angle_rad == want.peak_angle_rad
+        assert got.angles_rad.tobytes() == want.angles_rad.tobytes()
+        assert got.values.tobytes() == reference_steering_sum(r, s).tobytes()
+
+
+def test_beamform_each_rejects_mismatched_shape(baseline):
+    r = range_dft(synthesize_beat(baseline))
+    rsub, _ = cut("1x4", r, baseline)
+    with pytest.raises(ValueError) as single:
+        beamform(rsub, baseline)
+    with pytest.raises(ValueError) as shared:
+        beamform_each([r, rsub], baseline)
+    assert str(shared.value) == str(single.value)
 
 
 def test_subset_fullchain_tracks_transmitter(baseline):

@@ -260,3 +260,23 @@ def test_every_benchmark_config_loads(tmp_path, monkeypatch):
             if "--grid-step-deg" in job.argv:
                 step = job.argv[job.argv.index("--grid-step-deg") + 1]
                 assert got.grid.step_rad == math.radians(float(step))
+
+
+def test_compare_steers_both_levels_in_one_pass(cfg_path, monkeypatch, capsys):
+    calls = []
+
+    def spy(name):
+        fn = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+
+    spy("beamform")
+    spy("beamform_each")
+    assert main(["compare", str(cfg_path)]) == 0
+    assert calls == ["beamform_each"]
+    out = capsys.readouterr().out
+    assert "full chain          +0.479583 deg" in out
+    assert "steering double sum +0.476487 deg" in out

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -232,6 +233,19 @@ def test_predicted_peak_evaluates_few_points(baseline, monkeypatch, mode):
     dense = replace(baseline.grid, step_rad=math.radians(FINE_STEP_DEG)).n_points
     assert dense == 180_001
     assert sum(evaluated) < 0.05 * dense
+
+
+@pytest.mark.parametrize("mode", closed_form.MODES)
+def test_predicted_peak_allocates_no_dense_grid(baseline, mode):
+    # A dense 180,001-point angle or magnitude array alone is 1.44 MB.
+    predicted_peak(baseline, mode)
+    tracemalloc.start()
+    try:
+        predicted_peak(baseline, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 def test_bad_mode_rejected(baseline):

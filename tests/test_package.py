@@ -19,6 +19,19 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
+def test_compare_does_not_load_numpy_ma():
+    # numpy.ma costs about 16 ms of import per CLI run; np.unique loads it.
+    src = str(Path(qmrts.__file__).resolve().parents[1])
+    cfg = Path(__file__).resolve().parents[1] / "scenario.example.cfg"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from qmrts.cli import main; "
+            f"main(['compare', {str(cfg)!r}]); print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False"
+
+
 def test_public_names_resolve():
     for name in qmrts.__all__:
         assert getattr(qmrts, name) is not None, name

@@ -320,6 +320,19 @@ def test_dense_grid_never_exceeds_its_step():
         assert np.diff(g.angles_rad()).max() <= g.step_rad * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("bounds", [
+    (-90, 90, 0.001), (-90, 90, 0.01), (-90, 90, 0.002), (-1.00125, 1.00125, 0.001),
+    (-48, 57, 0.002), (-1, 1, 0.001), (0.3, 89.7, 0.001), (-17.5, -2.25, 0.05)])
+def test_angles_at_reproduces_the_grid(bounds):
+    g = AngleGrid.from_degrees(*bounds)
+    dense = g.angles_rad()
+    idx = np.arange(g.n_points)
+    assert g.angles_at(idx).tobytes() == dense.tobytes()
+    some = idx[::97]
+    assert g.angles_at(some).tobytes() == dense[some].tobytes()
+    assert g.angles_at(idx[-1:])[0] == g.max_rad
+
+
 def test_zero_carrier_rejected_with_lambda_spacing(baseline_cfg, tmp_path, capsys):
     # 1e-300 Hz overflows the wavelength C0/fc_hz to inf.
     for fc, message in (
