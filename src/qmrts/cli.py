@@ -15,14 +15,13 @@ from pathlib import Path
 from . import __version__
 from .beamformer import (beamform, beamform_each, unit_phasor_spectrum,
                          write_angle_csv)
-from .closed_form import (MODES, closed_form_phase, closed_form_spectrum,
-                          peak_separation_db, predicted_peak,
-                          write_closed_form_csv)
+from .closed_form import (MODES, closed_form_spectrum, peak_separation_db,
+                          predicted_peak, write_closed_form_csv)
 from .experiment import (AntennaSubset, emit_results, load_sweep_spec,
                          rts_displacement, run_sweep)
 from .propagation import far_field_distance
 from .scenario import (ConfigError, Scenario, ValidationError, parse_config,
-                       scenario_from_config)
+                       read_config_file, scenario_from_config)
 from .signal_chain import range_dft, synthesize_beat, write_range_csv
 
 # Pairwise detected-angle agreement gate for the exact model levels [deg].
@@ -34,16 +33,10 @@ COMPARE_TOLERANCE_DEG = 0.02
 AMBIGUITY_GAP_DB = 6.0
 
 
-def _read_config(path: Path) -> str:
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return path.read_text(encoding="utf-8")
-
-
 def _load(args) -> tuple[Scenario, list[str]]:
     """Scenario of the config file with the grid step override applied,
     and the warnings of its one validation."""
-    sections = parse_config(_read_config(Path(args.config)))
+    sections = parse_config(read_config_file(args.config))
     if args.grid_step_deg is not None:
         sections.setdefault("grid", {})["angle_step_deg"] = args.grid_step_deg
     s = scenario_from_config(sections)
@@ -90,19 +83,18 @@ def cmd_simulate(args) -> int:
 
     full_deg = math.degrees(asp.peak_angle_rad)
     cf_deg = math.degrees(predicted_peak(ssub, args.mode))
-    phi_a = closed_form_phase(ssub)
 
     write_range_csv(rspec, out / "range_spectrum.csv")
     write_angle_csv(asp, out / "angle_spectrum.csv")
-    write_closed_form_csv(closed_form_spectrum(ssub, args.mode),
-                          out / "closed_form_spectrum.csv")
+    cf = closed_form_spectrum(ssub, args.mode)
+    write_closed_form_csv(cf, out / "closed_form_spectrum.csv")
 
     lines = [
         f"detected_bin = {rspec.peak_bin}",
         f"bin_width_hz = {s.sample_rate_hz / rspec.spectrum.shape[-1]:.9g}",
         f"detected_angle_fullchain_deg = {full_deg:.6f}",
         f"detected_angle_closedform_{args.mode}_deg = {cf_deg:.6f}",
-        f"spectrum_phase_rad = {phi_a:.9f}",
+        f"spectrum_phase_rad = {cf.phase_rad:.9f}",
     ]
     (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for line in lines:
@@ -114,7 +106,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = load_sweep_spec(_read_config(Path(args.config)))
+    spec = load_sweep_spec(read_config_file(args.config))
+    for msg in spec.base.validate():
+        print(f"warning: {msg}")
     if args.no_range_compensation:
         spec = replace(spec, range_compensation=False)
     rows = run_sweep(spec)

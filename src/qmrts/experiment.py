@@ -9,16 +9,14 @@ selections.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from ._csvio import write_csv
 from .beamformer import beamform
 from .closed_form import predicted_peak
 from .scenario import (ConfigError, Scenario, ValidationError, config_section,
-                       parse_config, scenario_from_config)
+                       parse_config, read_config_file, scenario_from_config)
 from .signal_chain import RangeSpectrum, range_dft, synthesize_beat
 
 
@@ -124,7 +122,7 @@ def displacement_to_theta_tx(theta_rx_rad: float, d_m: float, rc_m: float) -> fl
 
 
 def with_theta_tx(s: Scenario, theta_tx_rad: float,
-                  extra_return_path_m: float = 0.0) -> Scenario:
+                  extra_return_path_m: float) -> Scenario:
     """Scenario with the RTS transmitter moved (sweep helper)."""
     rts = replace(s.rts, theta_tx_rad=theta_tx_rad,
                   extra_return_path_m=extra_return_path_m)
@@ -186,23 +184,6 @@ def emit_results(rows: list[SweepRow], destination) -> None:
     write_csv(destination, columns)
 
 
-def read_results(path) -> list[SweepRow]:
-    """Parse a CSV written by emit_results (formatting precision applies)."""
-    rows: list[SweepRow] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected sweep CSV header: {header}")
-        for rec in reader:
-            fields = dict(zip(CSV_HEADER, rec))
-            subset = fields.pop("subset")
-            compensated = fields.pop("range_compensated") == "true"
-            rows.append(SweepRow(subset=subset, range_compensated=compensated,
-                                 **{k: float(v) for k, v in fields.items()}))
-    return rows
-
-
 def load_sweep_spec(text: str) -> SweepSpec:
     """Build a SweepSpec from a config document with a [sweep] section."""
     sections = parse_config(text)
@@ -219,4 +200,4 @@ def load_sweep_spec(text: str) -> SweepSpec:
 
 
 def load_sweep_spec_file(path) -> SweepSpec:
-    return load_sweep_spec(Path(path).read_text(encoding="utf-8"))
+    return load_sweep_spec(read_config_file(path))

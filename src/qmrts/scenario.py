@@ -11,6 +11,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -354,9 +355,16 @@ def load_scenario(text: str) -> Scenario:
     return scenario
 
 
+def read_config_file(path) -> str:
+    """Text of a config file; a missing file is a ConfigError."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    return path.read_text(encoding="utf-8")
+
+
 def load_scenario_file(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+    return load_scenario(read_config_file(path))
 
 
 def _degrees_exact(theta_rad: float) -> float:

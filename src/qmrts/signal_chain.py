@@ -96,12 +96,6 @@ def range_dft(b: BeatCube, zero_pad: int = 1) -> RangeSpectrum:
     return RangeSpectrum(spectrum=spec, peak_bin=k)
 
 
-def detected_bin_phase(r: RangeSpectrum, ntx: int, nrx: int) -> float:
-    """Argument of element (ntx, nrx) at the detected bin, in (-pi, pi]."""
-    _check_element(ntx, nrx, r.peak_values.shape)
-    return float(np.angle(r.peak_values[ntx, nrx]))
-
-
 def _check_element(ntx: int, nrx: int, shape: tuple[int, int]) -> None:
     # Explicit, because a negative index would silently wrap.
     for name, i, n in (("ntx", ntx, shape[0]), ("nrx", nrx, shape[1])):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qmrts import cli
+from qmrts import cli, emit_results, load_sweep_spec_file, run_sweep
 from qmrts.cli import main
 from qmrts.experiment import SweepSpec
 from conftest import BASELINE_CFG
@@ -63,7 +63,18 @@ def test_validate_fail_names_missing_key(tmp_path, capsys):
 
 
 def test_validate_missing_file(tmp_path, capsys):
-    assert main(["validate", str(tmp_path / "absent.cfg")]) == 1
+    path = tmp_path / "absent.cfg"
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"fail: config file not found: {path}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])
+def test_missing_config_file_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "absent.cfg"
+    out = [str(tmp_path / "out")] if command != "compare" else []
+    assert main([command, str(path), *out]) == 1
+    assert capsys.readouterr().err == f"error: config file not found: {path}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["compare", "simulate"])
@@ -141,6 +152,22 @@ def test_sweep_no_range_compensation(sweep_cfg_path, tmp_path):
                  "--no-range-compensation"]) == 0
     lines = out_csv.read_text().splitlines()
     assert all(line.endswith(",false") for line in lines[1:])
+
+
+def test_sweep_prints_near_field_warning(tmp_path, capsys):
+    path = tmp_path / "near.cfg"
+    path.write_text(BASELINE_CFG.replace("rc_m = 1.0", "rc_m = 0.05")
+                    + SWEEP_SECTION.replace("d_max_m = 0.1", "d_max_m = 0.01"))
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["sweep", str(path), str(out_csv)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("warning: far-field condition violated: rc_m = 0.05 m "
+                      "is below 2*D^2/lambda = 0.0953885 m")
+    assert sum(line.startswith("warning:") for line in out) == 1
+    # The warning is advisory: the CSV is what the library writes.
+    lib_csv = tmp_path / "lib.csv"
+    emit_results(run_sweep(load_sweep_spec_file(path)), lib_csv)
+    assert out_csv.read_bytes() == lib_csv.read_bytes()
 
 
 def test_sweep_requires_section(cfg_path, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -7,8 +8,8 @@ import pytest
 from qmrts import (AntennaSubset, ConfigError, ValidationError,
                    bin_phase_frequency_scale, emit_results, rts_displacement,
                    run_sweep)
-from qmrts.experiment import (SweepSpec, displacement_to_theta_tx,
-                              load_sweep_spec, read_results, with_theta_tx)
+from qmrts.experiment import (CSV_HEADER, SweepSpec, displacement_to_theta_tx,
+                              load_sweep_spec, with_theta_tx)
 from conftest import build_scenario
 
 DEG = math.degrees
@@ -33,7 +34,7 @@ def test_displacement_inverse_round_trip():
         th_rx = math.radians(rng.uniform(-30, 30))
         d = rng.uniform(0, 0.3)
         th_tx = displacement_to_theta_tx(th_rx, d, 1.0)
-        s = with_theta_tx(build_scenario(theta_rx_deg=DEG(th_rx)), th_tx)
+        s = with_theta_tx(build_scenario(theta_rx_deg=DEG(th_rx)), th_tx, 0.0)
         assert rts_displacement(s) == pytest.approx(d, abs=1e-12)
 
 
@@ -158,14 +159,19 @@ def test_emit_and_read_round_trip(tmp_path):
     rows = run_sweep(small_spec(points=3))
     path = tmp_path / "sweep.csv"
     emit_results(rows, path)
-    back = read_results(path)
-    assert len(back) == len(rows)
-    for a, b in zip(rows, back):
-        assert b.subset == a.subset
-        assert b.range_compensated == a.range_compensated
-        assert b.detected_fullchain_deg == pytest.approx(
-            a.detected_fullchain_deg, rel=1e-8)
-        assert b.deviation_deg == pytest.approx(a.deviation_deg, rel=1e-8, abs=1e-12)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *records = csv.reader(fh)
+    assert header == CSV_HEADER
+    assert len(records) == len(rows)
+    for row, rec in zip(rows, records):
+        back = dict(zip(CSV_HEADER, rec))
+        assert back.pop("subset") == row.subset
+        assert back.pop("range_compensated") == (
+            "true" if row.range_compensated else "false")
+        assert len(back) == 6
+        for name, cell in back.items():
+            assert float(cell) == pytest.approx(getattr(row, name),
+                                                rel=1e-8, abs=1e-12), name
 
 
 def test_emit_header_and_format(tmp_path):

@@ -8,28 +8,32 @@ from pathlib import Path
 import qmrts
 
 
-def test_import_does_not_load_scipy():
+def _python(code: str) -> str:
+    """Stdout of code run in a fresh interpreter that imports qmrts from src."""
     src = str(Path(qmrts.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_does_not_load_scipy():
     code = ("import sys, qmrts; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _python(code).strip() == "[]"
+
+
+def test_import_does_not_load_csv():
+    # Outputs are written by qmrts._csvio; no loader or writer needs csv.
+    assert _python("import sys, qmrts; print('csv' in sys.modules)").strip() == "False"
 
 
 def test_compare_does_not_load_numpy_ma():
     # numpy.ma costs about 16 ms of import per CLI run; np.unique loads it.
-    src = str(Path(qmrts.__file__).resolve().parents[1])
     cfg = Path(__file__).resolve().parents[1] / "scenario.example.cfg"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys; from qmrts.cli import main; "
             f"main(['compare', {str(cfg)!r}]); print('numpy.ma' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "False"
+    assert _python(code).splitlines()[-1] == "False"
 
 
 def test_public_names_resolve():
@@ -72,7 +76,10 @@ def test_removed_api_is_gone():
                          ("PeakAtBoundaryError", beamformer),
                          ("ambiguous_peak", closed_form),
                          ("AMBIGUITY_GAP_DB", closed_form),
-                         ("write_beat_csv", signal_chain)):
+                         ("write_beat_csv", signal_chain),
+                         ("detected_bin_phase", signal_chain),
+                         ("read_results", experiment),
+                         ("_read_config", cli)):
         assert not hasattr(qmrts, name), name
         assert not hasattr(module, name), name
     assert cli.AMBIGUITY_GAP_DB == 6.0

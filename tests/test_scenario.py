@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmrts import (AngleGrid, ConfigError, ValidationError, load_scenario,
-                   rts_displacement)
+                   load_scenario_file, load_sweep_spec_file, rts_displacement)
 from qmrts.experiment import load_sweep_spec, with_theta_tx
 from qmrts.scenario import _SCHEMA, REQUIRED, emit_scenario
 from qmrts.propagation import C0
@@ -162,6 +162,23 @@ def test_displacement_antisymmetry():
         s1 = build_scenario(theta_rx_deg=a, theta_tx_deg=b)
         s2 = build_scenario(theta_rx_deg=b, theta_tx_deg=a)
         assert rts_displacement(s1) == -rts_displacement(s2)
+
+
+@pytest.mark.parametrize("loader", [load_scenario_file, load_sweep_spec_file])
+def test_file_loaders_name_a_missing_file(tmp_path, loader):
+    path = tmp_path / "absent.cfg"
+    want = f"config file not found: {re.escape(str(path))}$"
+    with pytest.raises(ConfigError, match=want):
+        loader(path)
+    with pytest.raises(ConfigError, match="config file not found"):
+        loader(str(tmp_path))    # a directory is not a config file
+
+
+def test_file_loaders_read_the_file(baseline_cfg, tmp_path):
+    path = tmp_path / "base.cfg"
+    path.write_text(baseline_cfg + "\n[sweep]\n", encoding="utf-8")
+    assert load_scenario_file(path) == load_scenario(baseline_cfg)
+    assert load_sweep_spec_file(str(path)) == load_sweep_spec(path.read_text())
 
 
 def test_emit_round_trips_field_identical(baseline_cfg):

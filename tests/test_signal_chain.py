@@ -6,8 +6,7 @@ import pytest
 
 from qmrts import (BeatCube, bin_phase_frequency_scale, range_dft,
                    synthesize_beat)
-from qmrts.signal_chain import (detected_bin_phase, expected_bin_phase,
-                                write_range_csv)
+from qmrts.signal_chain import expected_bin_phase, write_range_csv
 from conftest import build_scenario, on_bin_tau_rts, wrap_phase
 
 
@@ -64,7 +63,7 @@ def test_on_bin_phase_matches_analytic_prediction():
     r = range_dft(synthesize_beat(s))
     for i in range(2):
         for j in range(4):
-            got = detected_bin_phase(r, i, j)
+            got = np.angle(r.peak_values[i, j])
             want = expected_bin_phase(s, i, j, f_r=r.peak_bin)
             assert abs(wrap_phase(got - want)) < 1e-6
 
@@ -83,17 +82,17 @@ def test_phase_without_if_term_when_frts_zero():
     s = build_scenario(f_rts_hz=0.0)
     s = build_scenario(f_rts_hz=0.0, tau_rts_s=on_bin_tau_rts(s, 16))
     r = range_dft(synthesize_beat(s))
-    got = detected_bin_phase(r, 0, 0)
+    got = np.angle(r.peak_values[0, 0])
     want = expected_bin_phase(s, 0, 0, f_r=16)  # f_rts term contributes 0
     assert abs(wrap_phase(got - want)) < 1e-6
 
 
 def test_equal_delay_elements_share_phase(boresight):
     r = range_dft(synthesize_beat(boresight))
-    ref = detected_bin_phase(r, 0, 0)
+    ref = np.angle(r.peak_values[0, 0])
     for i in range(2):
         for j in range(4):
-            assert detected_bin_phase(r, i, j) == ref
+            assert np.angle(r.peak_values[i, j]) == ref
 
 
 def test_constant_cube_detects_dc():
@@ -143,21 +142,13 @@ def test_inter_element_phase_gradient():
                        tau_rts_s=on_bin_tau_rts(s, 8))
     r = range_dft(synthesize_beat(s))
     lam = s.wavelength_m
-    ref = detected_bin_phase(r, 0, 0)
+    ref = np.angle(r.peak_values[0, 0])
     for i in range(2):
         for j in range(4):
-            got = detected_bin_phase(r, i, j) - ref
+            got = np.angle(r.peak_values[i, j]) - ref
             want = 2 * np.pi * (s.array.dtx_m * i * math.sin(s.rts.theta_rx_rad)
                                 + s.array.drx_m * j * math.sin(s.rts.theta_tx_rad)) / lam
             assert abs(wrap_phase(got - want)) < 1e-2
-
-
-def test_phase_index_errors(baseline):
-    r = range_dft(synthesize_beat(baseline))
-    with pytest.raises(IndexError):
-        detected_bin_phase(r, 2, 0)
-    with pytest.raises(IndexError):
-        detected_bin_phase(r, 0, 4)
 
 
 def test_zero_pad_scales_bin():
