@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .beamformer import (beamform, beamform_each, unit_phasor_spectrum,
+from .beamformer import (beamform, beamform_peaks, unit_phasor_spectrum,
                          write_angle_csv)
 from .closed_form import (MODES, closed_form_spectrum, peak_separation_db,
                           predicted_peak, write_closed_form_csv)
@@ -129,9 +129,10 @@ def cmd_compare(args) -> int:
     rspec = range_dft(synthesize_beat(s))
     rsub, ssub = _apply_subset(rspec, s, args.subset)
 
-    # The full chain and the steering double sum share one steering pass.
-    full, ideal = (math.degrees(a.peak_angle_rad) for a in
-                   beamform_each([rsub, unit_phasor_spectrum(ssub)], ssub))
+    # The full chain and the steering double sum share one coarse-to-fine
+    # steering search, which returns the dense search's float.
+    full, ideal = (math.degrees(a) for a in
+                   beamform_peaks([rsub, unit_phasor_spectrum(ssub)], ssub))
     dirich = math.degrees(predicted_peak(ssub, "dirichlet"))
     sinc = math.degrees(predicted_peak(ssub, "sinc"))
 

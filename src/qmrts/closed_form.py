@@ -22,16 +22,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._csvio import magnitude_db, write_csv
-from .beamformer import _peak
+from .beamformer import _coarse_to_fine
 from .propagation import C0
 from .scenario import FINE_STEP_DEG, Scenario
 
 MODES = ("sinc", "dirichlet")
-
-# Every COARSE_STRIDE-th point of the FINE_STEP_DEG grid is evaluated
-# first by predicted_peak; the fine grid is then evaluated only where the
-# peak can be.
-COARSE_STRIDE = 100
 
 # Step of the grid scanned for competing peaks by peak_separation_db [deg].
 SEPARATION_STEP_DEG = 0.01
@@ -107,46 +102,19 @@ def predicted_peak(s: Scenario, mode: str) -> float:
     because no closed-form peak location exists.
 
     The argmax is found coarse to fine and gives the same float as a
-    search over every fine point.  The coarse pass evaluates every
-    COARSE_STRIDE-th fine point and the last one.  The magnitude is
-    |g(sin alpha)|, where g is real, bounded by gain = A*Ns*Ntx*Nrx and of
-    exponential type B = pi*(Ntx*dtx + Nrx*drx)/lambda in u = sin(alpha)
-    (a kernel of N elements has type pi*N*d/lambda).  By Bernstein's
-    inequality the second derivative of g(sin alpha) in alpha is at most
-    gain*(B^2 + B), so between coarse neighbours at most h apart it rises
-    above the chord, and so above the larger endpoint, by at most
-    margin = gain*(B^2 + B)*h^2/8.  Every fine point at or above the
-    coarse maximum thus has a coarse neighbour within margin of that
-    maximum: a candidate.  The fine pass evaluates COARSE_STRIDE points
-    either side of each candidate, which holds every such point and its
-    two neighbours (a point on a coarse sample is a candidate itself).
-    _peak then sees the evaluated points in index order: its argmax, ties
-    and vertex are those of the full grid, and an evaluated end point is
-    the grid's own first or last point.  Only the evaluated angles are
-    computed (AngleGrid.angles_at).
+    search over every fine point (beamformer._coarse_to_fine holds the
+    proof).  The magnitude is |g(sin alpha)|, where g is real, bounded by
+    gain = A*Ns*Ntx*Nrx and of exponential type
+    pi*(Ntx*dtx + Nrx*drx)/lambda (a kernel of N elements has type
+    pi*N*d/lambda).
     """
-    fine_grid = replace(s.grid, step_rad=math.radians(FINE_STEP_DEG))
-    n = fine_grid.n_points
-    coarse = np.append(np.arange(0, n - 1, COARSE_STRIDE), n - 1)
-    coarse_angles = fine_grid.angles_at(coarse)
-    coarse_mag = spectrum_magnitude(s, coarse_angles, mode)
-
     a = s.array
     gain = s.rts.amplitude * s.chirp.ns * a.ntx * a.nrx
     band = math.pi * (a.ntx * a.dtx_m + a.nrx * a.drx_m) / s.wavelength_m
-    h = float(np.diff(coarse_angles).max())
-    margin = gain * (band * band + band) * h * h / 8.0
-    candidates = coarse[coarse_mag >= coarse_mag.max() - margin]
-
-    window = np.arange(-COARSE_STRIDE, COARSE_STRIDE + 1)
-    windows = np.clip(candidates[:, None] + window, 0, n - 1).ravel()
-    # The windows ascend and overlap: keep each index where it first
-    # exceeds all before it.  (np.unique would sort, and its first call
-    # imports numpy.ma, about 16 ms per process.)
-    seen = np.maximum.accumulate(windows)
-    fine = windows[np.append(True, windows[1:] > seen[:-1])]
-    angles = fine_grid.angles_at(fine)
-    return _peak(angles, spectrum_magnitude(s, angles, mode))[1]
+    (peak,) = _coarse_to_fine(
+        replace(s.grid, step_rad=math.radians(FINE_STEP_DEG)),
+        lambda angles: [spectrum_magnitude(s, angles, mode)], [gain], band)
+    return peak
 
 
 def peak_separation_db(s: Scenario) -> float:

@@ -1,13 +1,16 @@
 import csv
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmrts import (AngleGrid, AntennaSubset, ConfigError, beamform,
                    predicted_peak, range_dft, synthesize_beat)
-from qmrts.beamformer import (_peak, beamform_each, unit_phasor_spectrum,
-                              write_angle_csv)
+from qmrts.beamformer import (COARSE_STRIDE, _coarse_to_fine, _peak, beamform_peaks,
+                              unit_phasor_spectrum, write_angle_csv)
 from conftest import build_scenario, on_bin_tau_rts
 
 DEG = math.degrees
@@ -143,34 +146,141 @@ def reference_steering_sum(r, s):
     return out
 
 
+def dense_peak(r, s):
+    """Test-local oracle: argmax and vertex over every grid point of the
+    reference steering sum, the search beamform_peaks must reproduce."""
+    return _peak(s.grid.angles_rad(), np.abs(reference_steering_sum(r, s)))[1]
+
+
+COMPARE_BOARD = dict(ntx=4, nrx=16, dtx_lambda=8.0, drx_lambda=0.5,
+                     theta_rx_deg=10.0, theta_tx_deg=11.0, grid_step_deg=0.002)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(theta_tx_deg=2.0),                                     # reference 2x4
     dict(ntx=1, nrx=1, theta_rx_deg=25.0, theta_tx_deg=-10.0),
-    dict(ntx=4, nrx=16, dtx_lambda=8.0, drx_lambda=0.5,         # compare board
-         theta_rx_deg=10.0, theta_tx_deg=11.0, grid_step_deg=0.002),
-], ids=["2x4", "1x1", "4x16-0.002deg"])
-def test_beamform_each_equals_separate_calls(kwargs):
+    COMPARE_BOARD,
+    dict(ntx=2, nrx=4, dtx_lambda=3.7, drx_lambda=2.0,          # grating lobes
+         theta_rx_deg=-30.0, theta_tx_deg=10.0),
+    dict(ntx=1, nrx=1, grid_span_deg=0.25, grid_step_deg=0.5),  # one interval
+    dict(theta_tx_deg=0.3, grid_span_deg=0.4, grid_step_deg=0.001),
+], ids=["2x4", "1x1", "4x16-0.002deg", "grating-lobes", "1x1-one-interval",
+        "narrow-0.001deg"])
+def test_beamform_peaks_equals_beamform(kwargs):
     s = build_scenario(**kwargs)
     spectra = [range_dft(synthesize_beat(s)), unit_phasor_spectrum(s)]
-    shared = beamform_each(spectra, s)
-    assert len(shared) == 2
-    for got, r in zip(shared, spectra):
+    peaks = beamform_peaks(spectra, s)
+    assert len(peaks) == 2
+    for got, r in zip(peaks, spectra):
         want = beamform(r, s)
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.peak_index == want.peak_index
-        assert got.peak_angle_rad == want.peak_angle_rad
-        assert got.angles_rad.tobytes() == want.angles_rad.tobytes()
-        assert got.values.tobytes() == reference_steering_sum(r, s).tobytes()
+        assert got == want.peak_angle_rad
+        assert want.values.tobytes() == reference_steering_sum(r, s).tobytes()
 
 
-def test_beamform_each_rejects_mismatched_shape(baseline):
+@st.composite
+def steering_cases(draw):
+    """Boards with grating lobes, 1x1 boards, wide antenna offsets and
+    grids from 0.001 to 0.5 deg, narrow (under 1 deg) or wide."""
+    step = draw(st.sampled_from([0.001, 0.002, 0.005, 0.01, 0.05, 0.5]))
+    top = round(90 / step)
+    # Hypothesis draws small integers most often: map them to wide grids
+    # and big boards.
+    if draw(st.integers(0, 3)) == 3:
+        intervals = draw(st.integers(1, max(1, int(0.999 / step))))
+    else:  # log-uniform up to 20,000 intervals
+        intervals = round(min(2 * top, 20_000) ** (1 - draw(st.integers(0, 100)) / 100))
+    lo = draw(st.integers(-top, top - intervals))
+    theta_rx = draw(st.floats(-60.0, 60.0))
+    s = build_scenario(
+        ntx=draw(st.sampled_from([4, 1, 3, 2])), nrx=draw(st.integers(1, 8)),
+        dtx_lambda=draw(st.floats(0.25, 4.0)), drx_lambda=draw(st.floats(0.25, 4.0)),
+        theta_rx_deg=theta_rx,
+        theta_tx_deg=draw(st.floats(max(-80.0, theta_rx - 40.0),
+                                    min(80.0, theta_rx + 40.0))))
+    return replace(s, grid=AngleGrid.from_degrees(step * lo, step * (lo + intervals), step))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(steering_cases())
+def test_beamform_peaks_equals_dense_search_property(s):
+    spectra = [range_dft(synthesize_beat(s)), unit_phasor_spectrum(s)]
+    assert beamform_peaks(spectra, s) == [dense_peak(r, s) for r in spectra]
+
+
+def dense_search(grid, magnitudes):
+    angles = grid.angles_rad()
+    return [_peak(angles, mag)[1] for mag in magnitudes(angles)]
+
+
+# Coarse samples of this grid fall on whole degrees.
+WHOLE_DEGREES = AngleGrid.from_degrees(-10.0, 10.0, 1.0 / COARSE_STRIDE)
+
+
+def test_coarse_to_fine_finds_a_lobe_between_coarse_samples():
+    # |cos(B*(u - u0))*cos(u - u0)| is of type B + 1 and bounded by 1.  Its
+    # highest lobe sits at 0.5 deg, midway between coarse samples, which
+    # see a quarter of its power; its two next lobes fall on the coarse
+    # samples at -1 and 2 deg.  Only the full margin keeps 0.5 deg.
+    u0 = math.sin(math.radians(0.5))
+    band = math.pi / (math.sin(math.radians(2.0)) - u0)
+
+    def lobes(angles):
+        x = np.sin(angles) - u0
+        return [np.abs(np.cos(band * x) * np.cos(x))]
+
+    got = _coarse_to_fine(WHOLE_DEGREES, lobes, [1.0], band + 1.0)
+    assert got == dense_search(WHOLE_DEGREES, lobes)
+    assert abs(DEG(got[0]) - 0.5) < 1e-3
+
+
+def test_coarse_to_fine_float_slack_absorbs_rounding():
+    # sin^2 + cos^2 is the constant 1 (type 0), so only the float slack
+    # admits coarse samples that rounding left an ulp below the maximum.
+    def one(angles):
+        return [np.sin(angles) ** 2 + np.cos(angles) ** 2]
+
+    assert _coarse_to_fine(WHOLE_DEGREES, one, [1.0], 0.0) == dense_search(WHOLE_DEGREES, one)
+
+
+def test_coarse_to_fine_fine_pass_holds_stride_either_side_of_candidates():
+    # Spikes on three coarse samples make exactly those the candidates.
+    c, last = COARSE_STRIDE, WHOLE_DEGREES.n_points - 1
+    spikes = WHOLE_DEGREES.angles_at(np.array([3 * c, 4 * c, last]))
+    evaluated = []
+
+    def spiky(angles):
+        evaluated.append(angles)
+        return [np.isin(angles, spikes).astype(float)]
+
+    _coarse_to_fine(WHOLE_DEGREES, spiky, [1.0], 0.0)
+    # Windows merged in index order, each index once, clipped to the grid.
+    want = np.r_[2 * c:5 * c + 1, last - c:last + 1]
+    assert evaluated[1].tobytes() == WHOLE_DEGREES.angles_at(want).tobytes()
+
+
+def test_beamform_peaks_allocates_no_dense_grid():
+    # On this 90,001-point grid a dense angle array alone is 0.72 MB and
+    # one dense complex spectrum 1.44 MB.
+    s = build_scenario(**COMPARE_BOARD)
+    spectra = [range_dft(synthesize_beat(s)), unit_phasor_spectrum(s)]
+    beamform_peaks(spectra, s)
+    tracemalloc.start()
+    try:
+        beamform_peaks(spectra, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
+def test_beamform_peaks_rejects_mismatched_shape(baseline):
     r = range_dft(synthesize_beat(baseline))
     rsub, _ = cut("1x4", r, baseline)
     with pytest.raises(ValueError) as single:
         beamform(rsub, baseline)
-    with pytest.raises(ValueError) as shared:
-        beamform_each([r, rsub], baseline)
-    assert str(shared.value) == str(single.value)
+    with pytest.raises(ValueError) as peaks:
+        beamform_peaks([r, rsub], baseline)
+    assert str(peaks.value) == str(single.value)
 
 
 def test_subset_fullchain_tracks_transmitter(baseline):

@@ -301,9 +301,9 @@ def test_compare_steers_both_levels_in_one_pass(cfg_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, name, counted)
 
     spy("beamform")
-    spy("beamform_each")
+    spy("beamform_peaks")
     assert main(["compare", str(cfg_path)]) == 0
-    assert calls == ["beamform_each"]
+    assert calls == ["beamform_peaks"]
     out = capsys.readouterr().out
     assert "full chain          +0.479583 deg" in out
     assert "steering double sum +0.476487 deg" in out

@@ -79,7 +79,9 @@ def test_removed_api_is_gone():
                          ("write_beat_csv", signal_chain),
                          ("detected_bin_phase", signal_chain),
                          ("read_results", experiment),
-                         ("_read_config", cli)):
+                         ("_read_config", cli),
+                         ("beamform_each", beamformer),
+                         ("COARSE_STRIDE", closed_form)):
         assert not hasattr(qmrts, name), name
         assert not hasattr(module, name), name
     assert cli.AMBIGUITY_GAP_DB == 6.0
