@@ -156,15 +156,13 @@ def beamform_peaks(spectra: list[RangeSpectrum], s: Scenario) -> list[float]:
 
     The peaks are found coarse to fine (_coarse_to_fine).  After a phase
     shift the steering sum of v is of exponential type
-    pi*(dtx*(Ntx-1) + drx*(Nrx-1))/lambda in sin(alpha) and bounded by
-    sum |v_ij|.
+    pi*aperture_m/lambda in sin(alpha) and bounded by sum |v_ij|.
     """
     values = [r.peak_values for r in spectra]
-    a = s.array
-    span = a.dtx_m * (a.ntx - 1) + a.drx_m * (a.nrx - 1)
     return _coarse_to_fine(
         s.grid, lambda angles: [np.abs(out) for out in _steer(values, s, angles)],
-        [float(np.abs(v).sum()) for v in values], math.pi * span / s.wavelength_m)
+        [float(np.abs(v).sum()) for v in values],
+        math.pi * s.array.aperture_m / s.wavelength_m)
 
 
 def unit_phasor_spectrum(s: Scenario) -> RangeSpectrum:

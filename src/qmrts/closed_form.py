@@ -104,13 +104,15 @@ def predicted_peak(s: Scenario, mode: str) -> float:
     The argmax is found coarse to fine and gives the same float as a
     search over every fine point (beamformer._coarse_to_fine holds the
     proof).  The magnitude is |g(sin alpha)|, where g is real, bounded by
-    gain = A*Ns*Ntx*Nrx and of exponential type
-    pi*(Ntx*dtx + Nrx*drx)/lambda (a kernel of N elements has type
-    pi*N*d/lambda).
+    gain = A*Ns*Ntx*Nrx and of exponential type pi*W/lambda.  A kernel of
+    N elements at spacing d has type pi*(N-1)*d/lambda in dirichlet mode
+    and pi*N*d/lambda in sinc mode, so W is RadarArrayConfig.aperture_m
+    in dirichlet mode and Ntx*dtx + Nrx*drx in sinc mode.
     """
     a = s.array
     gain = s.rts.amplitude * s.chirp.ns * a.ntx * a.nrx
-    band = math.pi * (a.ntx * a.dtx_m + a.nrx * a.drx_m) / s.wavelength_m
+    width = a.aperture_m if mode == "dirichlet" else a.ntx * a.dtx_m + a.nrx * a.drx_m
+    band = math.pi * width / s.wavelength_m
     (peak,) = _coarse_to_fine(
         replace(s.grid, step_rad=math.radians(FINE_STEP_DEG)),
         lambda angles: [spectrum_magnitude(s, angles, mode)], [gain], band)

@@ -67,7 +67,7 @@ class SweepSpec:
     d_max_m: float
     points: int
     subsets: tuple[AntennaSubset, ...]
-    range_compensation: bool = True
+    range_compensation: bool
 
     def __post_init__(self):
         rc = self.base.rts.rc_m
@@ -81,8 +81,8 @@ class SweepSpec:
             raise ValidationError("at least one antenna subset is required")
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate subset labels: {labels}")
-        if abs(math.sin(self.base.rts.theta_rx_rad) + self.d_max_m / rc) > 1.0:
-            raise ValidationError("d_max_m pushes the transmitter past 90 deg")
+        # The last point must keep the transmitter within +-90 deg.
+        displaced(self.base, self.d_max_m, self.range_compensation)
 
 
 @dataclass(frozen=True)
@@ -108,25 +108,23 @@ def rts_displacement(s: Scenario) -> float:
     return r.rc_m * (math.sin(r.theta_tx_rad) - math.sin(r.theta_rx_rad))
 
 
-def displacement_to_theta_tx(theta_rx_rad: float, d_m: float, rc_m: float) -> float:
-    """Transmitter azimuth that realizes lateral displacement d.
+def displaced(s: Scenario, d_m: float, range_compensation: bool) -> Scenario:
+    """s with the RTS transmitter moved to lateral displacement d_m [m].
 
-    Inverse of the displacement relation d = Rc*(sin th_tx - sin th_rx).
+    Inverse of rts_displacement: sin th_tx = sin th_rx + d/Rc, a
+    ValidationError past +-90 deg.  With range_compensation the return
+    leg gains the moved transmitter's extra path sqrt(Rc^2 + d^2) - Rc.
     """
-    arg = math.sin(theta_rx_rad) + d_m / rc_m
+    r = s.rts
+    rc = r.rc_m
+    arg = math.sin(r.theta_rx_rad) + d_m / rc
     if not -1.0 <= arg <= 1.0:
-        raise ValueError(
-            f"displacement {d_m} m at rc_m={rc_m} puts sin(theta_tx)={arg:.6g} "
-            "outside [-1, 1]")
-    return math.asin(arg)
-
-
-def with_theta_tx(s: Scenario, theta_tx_rad: float,
-                  extra_return_path_m: float) -> Scenario:
-    """Scenario with the RTS transmitter moved (sweep helper)."""
-    rts = replace(s.rts, theta_tx_rad=theta_tx_rad,
-                  extra_return_path_m=extra_return_path_m)
-    return replace(s, rts=rts)
+        raise ValidationError(
+            f"displacement {d_m} m at rc_m={rc} puts sin(theta_tx)={arg:.6g} "
+            "outside [-1, 1]: the transmitter is past 90 deg")
+    extra = math.sqrt(rc * rc + d_m * d_m) - rc if range_compensation else 0.0
+    return replace(s, rts=replace(r, theta_tx_rad=math.asin(arg),
+                                  extra_return_path_m=extra))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -137,15 +135,12 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     with different antenna selections.
     """
     base = spec.base
-    rc = base.rts.rc_m
     theta_rx = base.rts.theta_rx_rad
     rows: list[SweepRow] = []
     for idx in range(spec.points):
         d = spec.d_max_m * idx / (spec.points - 1)
         try:
-            theta_tx = displacement_to_theta_tx(theta_rx, d, rc)
-            extra = math.sqrt(rc * rc + d * d) - rc if spec.range_compensation else 0.0
-            point = with_theta_tx(base, theta_tx, extra)
+            point = displaced(base, d, spec.range_compensation)
             point.validate()  # raises on an invalid point
             cube = synthesize_beat(point)
             rspec = range_dft(cube)
@@ -156,7 +151,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 rows.append(SweepRow(
                     d_rts_m=d,
                     theta_rx_deg=math.degrees(theta_rx),
-                    theta_tx_deg=math.degrees(theta_tx),
+                    theta_tx_deg=math.degrees(point.rts.theta_tx_rad),
                     subset=sub.label,
                     detected_fullchain_deg=full_deg,
                     detected_closedform_deg=cf_deg,

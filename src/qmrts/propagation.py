@@ -39,9 +39,8 @@ def element_delays(s: "Scenario") -> tuple[np.ndarray, np.ndarray]:
 def far_field_distance(s: "Scenario") -> float:
     """Fraunhofer distance 2*D^2/lambda of the virtual array [m].
 
-    D is the full virtual aperture dtx*(Ntx-1) + drx*(Nrx-1).  Compare
+    D is the virtual aperture RadarArrayConfig.aperture_m.  Compare
     against rc_m; plane-wave element phases are valid beyond this range.
     """
-    a = s.array
-    d = a.dtx_m * (a.ntx - 1) + a.drx_m * (a.nrx - 1)
+    d = s.array.aperture_m
     return 2.0 * d * d / s.wavelength_m

@@ -53,6 +53,11 @@ class RadarArrayConfig:
     dtx_m: float        # transmit element spacing [m]
     drx_m: float        # receive element spacing [m]
 
+    @property
+    def aperture_m(self) -> float:
+        """Virtual-array aperture dtx*(Ntx-1) + drx*(Nrx-1) [m]."""
+        return self.dtx_m * (self.ntx - 1) + self.drx_m * (self.nrx - 1)
+
     def tx_positions_m(self) -> np.ndarray:
         return self.dtx_m * np.arange(self.ntx, dtype=float)
 

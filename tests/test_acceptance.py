@@ -40,7 +40,8 @@ def make_sweep(points=51, d_max=0.1, subsets=("2x4", "2x2", "1x4"), **kw):
     base = build_scenario(**kw)
     subs = tuple(AntennaSubset.from_label(lbl, base.array.ntx, base.array.nrx)
                  for lbl in subsets)
-    return SweepSpec(base=base, d_max_m=d_max, points=points, subsets=subs)
+    return SweepSpec(base=base, d_max_m=d_max, points=points, subsets=subs,
+                     range_compensation=True)
 
 
 @pytest.fixture(scope="module")

@@ -205,7 +205,12 @@ def test_predicted_peak_equals_dense_search_property(case):
     dict(theta_tx_deg=0.5, grid_span_deg=1.00125, grid_step_deg=0.00125),
     dict(ntx=4, nrx=16, dtx_lambda=8.0, drx_lambda=0.5,         # compare board
          theta_rx_deg=40.0, theta_tx_deg=41.5),
-], ids=["1x1-flat", "edge-peak", "grid-not-stride-multiple", "4x16-board"])
+    # Zero aperture, so any spacing validates; the sinc kernels are still
+    # narrow (type pi*(dtx + drx)/lambda), the dirichlet ones flat.
+    dict(ntx=1, nrx=1, dtx_lambda=500.0, drx_lambda=350.0, theta_rx_deg=0.0,
+         theta_tx_deg=0.3),
+], ids=["1x1-flat", "edge-peak", "grid-not-stride-multiple", "4x16-board",
+        "1x1-wide-spacing"])
 def test_predicted_peak_equals_dense_search(mode, kwargs):
     s = build_scenario(**kwargs)
     assert predicted_peak(s, mode) == dense_peak(s, mode)
@@ -222,17 +227,21 @@ def test_predicted_peak_edge_falls_back_to_grid_angle():
 
 @pytest.mark.parametrize("mode", closed_form.MODES)
 def test_predicted_peak_evaluates_few_points(baseline, monkeypatch, mode):
-    evaluated = []
+    evaluated = dict.fromkeys(closed_form.MODES, 0)
 
     def counting(s, angles_rad, m):
-        evaluated.append(np.asarray(angles_rad).size)
+        evaluated[m] += np.asarray(angles_rad).size
         return spectrum_magnitude(s, angles_rad, m)
 
     monkeypatch.setattr(closed_form, "spectrum_magnitude", counting)
-    predicted_peak(baseline, mode)
+    for m in closed_form.MODES:
+        predicted_peak(baseline, m)
     dense = replace(baseline.grid, step_rad=math.radians(FINE_STEP_DEG)).n_points
     assert dense == 180_001
-    assert sum(evaluated) < 0.05 * dense
+    assert evaluated[mode] < 0.05 * dense
+    # The dirichlet type pi*aperture_m/lambda is below the sinc type, so
+    # fewer coarse points clear its margin.
+    assert evaluated["dirichlet"] < evaluated["sinc"]
 
 
 @pytest.mark.parametrize("mode", closed_form.MODES)

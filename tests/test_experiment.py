@@ -8,8 +8,7 @@ import pytest
 from qmrts import (AntennaSubset, ConfigError, ValidationError,
                    bin_phase_frequency_scale, emit_results, rts_displacement,
                    run_sweep)
-from qmrts.experiment import (CSV_HEADER, SweepSpec, displacement_to_theta_tx,
-                              load_sweep_spec, with_theta_tx)
+from qmrts.experiment import CSV_HEADER, SweepSpec, displaced, load_sweep_spec
 from conftest import build_scenario
 
 DEG = math.degrees
@@ -19,12 +18,14 @@ def small_spec(points=5, d_max=0.05, subsets=("2x4", "2x2", "1x4"), **kw):
     base = build_scenario(**kw)
     subs = tuple(AntennaSubset.from_label(lbl, base.array.ntx, base.array.nrx)
                  for lbl in subsets)
-    return SweepSpec(base=base, d_max_m=d_max, points=points, subsets=subs)
+    return SweepSpec(base=base, d_max_m=d_max, points=points, subsets=subs,
+                     range_compensation=True)
 
 
-def test_displacement_inverse_examples():
-    assert displacement_to_theta_tx(0.3, 0.0, 1.0) == 0.3
-    got = displacement_to_theta_tx(0.0, 0.0174524, 1.0)
+def test_displacement_inverse_examples(boresight):
+    s = replace(boresight, rts=replace(boresight.rts, theta_rx_rad=0.3))
+    assert displaced(s, 0.0, False).rts.theta_tx_rad == 0.3
+    got = displaced(boresight, 0.0174524, False).rts.theta_tx_rad
     assert DEG(got) == pytest.approx(1.0, abs=1e-4)
 
 
@@ -33,14 +34,13 @@ def test_displacement_inverse_round_trip():
     for _ in range(50):
         th_rx = math.radians(rng.uniform(-30, 30))
         d = rng.uniform(0, 0.3)
-        th_tx = displacement_to_theta_tx(th_rx, d, 1.0)
-        s = with_theta_tx(build_scenario(theta_rx_deg=DEG(th_rx)), th_tx, 0.0)
+        s = displaced(build_scenario(theta_rx_deg=DEG(th_rx)), d, False)
         assert rts_displacement(s) == pytest.approx(d, abs=1e-12)
 
 
 def test_displacement_domain_error():
-    with pytest.raises(ValueError, match="outside"):
-        displacement_to_theta_tx(math.radians(80), 0.5, 1.0)
+    with pytest.raises(ValidationError, match="outside"):
+        displaced(build_scenario(theta_rx_deg=80.0), 0.5, True)
 
 
 def test_subset_label_parsing():
@@ -139,6 +139,10 @@ def test_range_compensation_is_range_level_only():
                             range_compensation=False))
     assert all(r.range_compensated for r in on)
     assert not any(r.range_compensated for r in off)
+    # only a compensated point gains a return path
+    base = small_spec().base
+    assert displaced(base, 0.1, False).rts.extra_return_path_m == 0.0
+    assert displaced(base, 0.1, True).rts.extra_return_path_m > 0.0
     # the extra return path is common to all elements: angles are untouched
     for a, b in zip(on, off):
         assert a.detected_fullchain_deg == pytest.approx(
@@ -149,9 +153,7 @@ def test_far_field_flag():
     # A near-field sweep still runs; its points carry the far-field warning.
     spec = small_spec(points=2, d_max=0.01, rc_m=0.05)
     assert len(run_sweep(spec)) == 2 * len(spec.subsets)
-    rc, d = spec.base.rts.rc_m, spec.d_max_m
-    theta_tx = displacement_to_theta_tx(spec.base.rts.theta_rx_rad, d, rc)
-    point = with_theta_tx(spec.base, theta_tx, math.sqrt(rc * rc + d * d) - rc)
+    point = displaced(spec.base, spec.d_max_m, spec.range_compensation)
     assert any("far-field" in w for w in point.validate())
 
 
@@ -226,7 +228,8 @@ def test_per_point_error_identifies_point():
     # domain; bypass the spec's own guard to exercise the abort path.
     base = build_scenario(theta_rx_deg=85.0)
     sub = (AntennaSubset.from_label("2x4", 2, 4),)
-    spec = SweepSpec(base=base, d_max_m=0.003, points=3, subsets=sub)
+    spec = SweepSpec(base=base, d_max_m=0.003, points=3, subsets=sub,
+                     range_compensation=True)
     object.__setattr__(spec, "d_max_m", 0.9)
     with pytest.raises(RuntimeError, match="sweep aborted at point 1"):
         run_sweep(spec)

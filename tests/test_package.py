@@ -81,7 +81,9 @@ def test_removed_api_is_gone():
                          ("read_results", experiment),
                          ("_read_config", cli),
                          ("beamform_each", beamformer),
-                         ("COARSE_STRIDE", closed_form)):
+                         ("COARSE_STRIDE", closed_form),
+                         ("with_theta_tx", experiment),
+                         ("displacement_to_theta_tx", experiment)):
         assert not hasattr(qmrts, name), name
         assert not hasattr(module, name), name
     assert cli.AMBIGUITY_GAP_DB == 6.0

@@ -1,9 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qmrts.experiment import with_theta_tx
 from qmrts.propagation import C0, element_delays, far_field_distance
 from qmrts.signal_chain import expected_bin_phase
 from conftest import build_scenario
@@ -37,7 +37,8 @@ def test_shapes_broadcast_to_virtual_array(baseline):
 def test_matches_scalar_formula_bit_for_bit(theta_rx_deg, theta_tx_deg, extra):
     # Reference: the per-element formula of the docstring, in Python floats.
     s = build_scenario(theta_rx_deg=theta_rx_deg, ntx=3, nrx=5)
-    s = with_theta_tx(s, math.radians(theta_tx_deg), extra)
+    s = replace(s, rts=replace(s.rts, theta_tx_rad=math.radians(theta_tx_deg),
+                               extra_return_path_m=extra))
     a, r = s.array, s.rts
     tau_tx, tau_rx = element_delays(s)
     for i in range(a.ntx):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmrts import (AngleGrid, ConfigError, ValidationError, load_scenario,
                    load_scenario_file, load_sweep_spec_file, rts_displacement)
-from qmrts.experiment import load_sweep_spec, with_theta_tx
+from qmrts.experiment import load_sweep_spec
 from qmrts.scenario import _SCHEMA, REQUIRED, emit_scenario
 from qmrts.propagation import C0
 from qmrts.cli import main
@@ -312,7 +312,8 @@ def test_non_finite_float_rejected(baseline_cfg, tmp_path, capsys, key, value):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_extra_return_path_rejected(boresight, value):
     with pytest.raises(ValidationError, match="extra_return_path_m must be finite"):
-        with_theta_tx(boresight, 0.0, value).validate()
+        replace(boresight, rts=replace(boresight.rts,
+                                       extra_return_path_m=value)).validate()
 
 
 def test_grid_step_must_divide_span(baseline_cfg):
