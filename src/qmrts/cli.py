@@ -1,7 +1,8 @@
 """Command-line front end: validate, simulate, sweep, compare.
 
 Exit codes: 0 success (or pass-with-warnings), 1 config/validation
-failure, 2 runtime or model-tolerance failure, 3 I/O failure.
+failure, 2 runtime, out-of-memory or model-tolerance failure, 3 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

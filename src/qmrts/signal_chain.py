@@ -75,8 +75,15 @@ def synthesize_beat(s: Scenario) -> BeatCube:
 
     t = np.arange(c.ns) * (c.t_s / c.ns)
     const = c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s - (slope / 2.0) * tau**2
-    phase = 2.0 * np.pi * (const[:, :, None] + fbeat[:, :, None] * t[None, None, :])
-    samples = r.amplitude * np.exp(1j * phase)
+    # A * exp(1j * (2*pi * (const + fbeat*t))) with the same ufuncs and
+    # operand order, so the same bits, each step written into an existing
+    # array: only the real phase cube and the complex result are allocated.
+    phase = np.multiply(fbeat[:, :, None], t[None, None, :])
+    np.add(const[:, :, None], phase, out=phase)
+    np.multiply(2.0 * np.pi, phase, out=phase)
+    samples = np.multiply(1j, phase)
+    np.exp(samples, out=samples)
+    np.multiply(r.amplitude, samples, out=samples)
     return BeatCube(samples=samples)
 
 
@@ -91,7 +98,12 @@ def range_dft(b: BeatCube, zero_pad: int = 1) -> RangeSpectrum:
         raise ValueError(f"zero_pad must be a power of two (got {zero_pad})")
     ns = b.samples.shape[-1]
     spec = np.fft.fft(b.samples, n=ns * zero_pad, axis=-1)
-    power = np.sum(np.abs(spec) ** 2, axis=(0, 1))
+    # sum(|spec|^2, axis=(0, 1)) as a running sum in (i, j) order, the order
+    # numpy's reduction adds in, so only one row of power is alive at a time.
+    power = np.zeros(spec.shape[-1])
+    row = np.empty_like(power)
+    for element in spec.reshape(-1, spec.shape[-1]):
+        power += np.square(np.abs(element, out=row), out=row)
     k = int(np.argmax(power))
     return RangeSpectrum(spectrum=spec, peak_bin=k)
 

@@ -307,3 +307,22 @@ def test_compare_steers_both_levels_in_one_pass(cfg_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "full chain          +0.479583 deg" in out
     assert "steering double sum +0.476487 deg" in out
+
+
+# numpy's _ArrayMemoryError text for a cube that does not fit.
+NUMPY_OOM = ("Unable to allocate 32.0 GiB for an array with shape "
+             "(4, 16, 67108864) and data type complex128")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "sweep"])
+def test_out_of_memory_exits_2_with_one_line(cfg_path, sweep_cfg_path, tmp_path,
+                                             monkeypatch, capsys, command):
+    def oom(*args, **kwargs):
+        raise MemoryError(NUMPY_OOM)
+    monkeypatch.setattr(cli, "synthesize_beat", oom)
+    monkeypatch.setattr(cli, "run_sweep", oom)
+    argv = {"simulate": ["simulate", str(cfg_path), str(tmp_path / "out")],
+            "compare": ["compare", str(cfg_path)],
+            "sweep": ["sweep", str(sweep_cfg_path), str(tmp_path / "sweep.csv")]}
+    assert main(argv[command]) == 2
+    assert capsys.readouterr().err == f"error: {NUMPY_OOM}\n"

@@ -1,11 +1,13 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qmrts import (BeatCube, bin_phase_frequency_scale, range_dft,
                    synthesize_beat)
+from qmrts.propagation import element_delays
 from qmrts.signal_chain import expected_bin_phase, write_range_csv
 from conftest import build_scenario, on_bin_tau_rts, wrap_phase
 
@@ -178,3 +180,84 @@ def test_csv_dumps(tmp_path, boresight):
     assert rows[-1][:3] == ["1", "3", "1023"]
     val = complex(float(rows[1][3]), float(rows[1][4]))
     assert val == pytest.approx(r.spectrum[0, 0, 0], rel=1e-8)
+
+
+def bits(a):
+    """Raw IEEE bits of a float or complex array, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def reference_beat(s):
+    """synthesize_beat's cube as one expression with full-size temporaries."""
+    c, r = s.chirp, s.rts
+    tau_tx, tau_rx = element_delays(s)
+    tau_c = tau_tx + tau_rx
+    tau = tau_c + r.tau_rts_s
+    slope = c.b_hz / c.t_s
+    fbeat = slope * tau
+    t = np.arange(c.ns) * (c.t_s / c.ns)
+    const = c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s - (slope / 2.0) * tau**2
+    return r.amplitude * np.exp(1j * (2.0 * np.pi * (const[:, :, None]
+                                                     + fbeat[:, :, None] * t[None, None, :])))
+
+
+ORACLE_CASES = [
+    # (ntx, nrx, ns, zero_pad, extra build_scenario arguments)
+    (1, 1, 16, 1, {}),
+    (1, 1, 16, 4, {"theta_rx_deg": -30.0, "theta_tx_deg": 10.0}),
+    (2, 4, 1024, 1, {"theta_tx_deg": 2.0}),
+    (2, 4, 1024, 2, {"theta_rx_deg": 12.0, "theta_tx_deg": 9.5, "amplitude": 0.7}),
+    (1, 16, 2048, 4, {"theta_rx_deg": 45.0, "theta_tx_deg": 47.0, "f_rts_hz": 0.0}),
+    (3, 12, 4096, 2, {"theta_rx_deg": -8.0, "tau_rts_s": 40e-9, "amplitude": 3.0}),
+    (4, 16, 16384, 1, {"theta_rx_deg": 10.0, "theta_tx_deg": 11.0,
+                       "tau_rts_s": 75e-9, "rc_m": 6.5}),
+]
+
+
+@pytest.mark.parametrize("ntx, nrx, ns, zero_pad, extra", ORACLE_CASES,
+                         ids=[f"{a}x{b}-ns{n}-zp{z}" for a, b, n, z, _ in ORACLE_CASES])
+def test_chain_equals_full_size_expressions_bit_for_bit(ntx, nrx, ns, zero_pad, extra):
+    s = build_scenario(ntx=ntx, nrx=nrx, ns=ns, **extra)
+    b = synthesize_beat(s)
+    assert np.array_equal(bits(b.samples), bits(reference_beat(s)))
+
+    r = range_dft(b, zero_pad=zero_pad)
+    spec = np.fft.fft(b.samples, n=ns * zero_pad, axis=-1)
+    assert np.array_equal(bits(r.spectrum), bits(spec))
+    assert r.peak_bin == int(np.argmax(np.sum(np.abs(spec) ** 2, axis=(0, 1))))
+
+
+def test_range_dft_leaves_input_unchanged():
+    b = synthesize_beat(build_scenario(ntx=2, nrx=4, ns=1024, theta_tx_deg=3.0))
+    before = b.samples.copy()
+    for zero_pad in (1, 2, 4):
+        r = range_dft(b, zero_pad=zero_pad)
+        assert np.array_equal(bits(b.samples), bits(before))
+        assert not np.shares_memory(r.spectrum, b.samples)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, per tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_synthesis_peak_memory_is_one_and_a_half_cubes():
+    # One complex cube plus the real phase cube it is made from; a chain
+    # of full-size temporaries peaks at 2.5 cubes.
+    s = build_scenario(ntx=4, nrx=16, ns=4096, theta_tx_deg=1.0)
+    b, peak = traced_peak(synthesize_beat, s)
+    assert peak <= 1.6 * b.samples.nbytes
+
+
+def test_range_dft_allocates_only_its_spectrum():
+    # The spectrum plus one row of power; |spec|**2 summed over the whole
+    # spectrum allocates another half spectrum.
+    b = synthesize_beat(build_scenario(ntx=4, nrx=16, ns=4096, theta_tx_deg=1.0))
+    r, peak = traced_peak(range_dft, b)
+    assert peak <= 1.1 * r.spectrum.nbytes
