@@ -2,14 +2,17 @@
 
 x_A[alpha] = sum_i sum_j x_R[i,j] * exp{-j*2*pi*(p_tx_i + p_rx_j)*sin(alpha)/lambda}
 
-The element reduction runs sequentially in index order so results are
-reproducible bit for bit.
+beamform finds the peak of |x_A| coarse to fine, steering only the
+angles the search evaluates; the spectrum's values over the whole grid
+are steered when first read.  The element reduction runs sequentially in
+index order so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,17 +23,27 @@ from .signal_chain import RangeSpectrum
 
 @dataclass(frozen=True)
 class AngleSpectrum:
-    """Complex beamformed spectrum on the angle grid.
+    """Complex beamformed spectrum on the scenario's angle grid.
 
-    peak_angle_rad is the sub-grid refined peak (parabolic interpolation in
+    peak_index is the grid index of the largest magnitude and
+    peak_angle_rad the sub-grid refined peak (parabolic interpolation in
     the sin-alpha domain); for a boundary peak it falls back to the grid
-    angle.
+    angle.  angles_rad and values are computed on first read from the
+    element values and the scenario.
     """
 
-    angles_rad: np.ndarray
-    values: np.ndarray
+    element_values: np.ndarray    # (Ntx, Nrx) complex
+    scenario: Scenario
     peak_index: int
     peak_angle_rad: float
+
+    @cached_property
+    def angles_rad(self) -> np.ndarray:
+        return self.scenario.grid.angles_rad()
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _steer(self.element_values, self.scenario, self.angles_rad)
 
 
 def _parabolic_vertex(x: np.ndarray, y: np.ndarray) -> float:
@@ -67,41 +80,39 @@ def _peak(angles_rad: np.ndarray, mag: np.ndarray) -> tuple[int, float]:
 COARSE_STRIDE = 100
 
 
-def _coarse_to_fine(grid: AngleGrid, magnitudes, sups: list[float],
-                    band: float) -> list[float]:
-    """Peak angles of several spectra on grid, each the float _peak gives
-    over every grid point, found coarse to fine.
+def _coarse_to_fine(grid: AngleGrid, magnitude, sup: float,
+                    band: float) -> tuple[int, float]:
+    """Grid index and peak angle of a spectrum on grid, the pair _peak
+    gives over every grid point, found coarse to fine.
 
-    magnitudes(angles) returns one array |f_k(sin alpha)| per spectrum,
-    where f_k is entire of exponential type band in u = sin(alpha) and
-    |f_k| <= sups[k] on the real line.  The power P = |f_k|^2 is then of
-    type 2*band and bounded by sups[k]^2, so by Bernstein's inequality
-    |d^2 P(sin alpha)/d alpha^2| <= sups[k]^2*(4*band^2 + 2*band).
+    magnitude(angles) returns |f(sin alpha)|, where f is entire of
+    exponential type band in u = sin(alpha) and |f| <= sup on the real
+    line.  The power P = |f|^2 is then of type 2*band and bounded by
+    sup^2, so by Bernstein's inequality
+    |d^2 P(sin alpha)/d alpha^2| <= sup^2*(4*band^2 + 2*band).
     Between coarse neighbours at most h apart, P thus rises above the
     chord, and so above the larger endpoint, by at most
-    margin = sups[k]^2*(4*band^2 + 2*band)*h^2/8, plus a float slack of
-    1e-9*sups[k]^2.  Every grid point at or above the coarse maximum
-    has a coarse neighbour within margin of that maximum: a candidate.
+    margin = sup^2*(4*band^2 + 2*band)*h^2/8, plus a float slack of
+    1e-9*sup^2.  Every grid point at or above the coarse maximum has a
+    coarse neighbour within margin of that maximum: a candidate.
 
     The coarse pass evaluates every COARSE_STRIDE-th grid point and the
     last one.  The fine pass evaluates COARSE_STRIDE points either side
-    of each spectrum's candidates, which holds every such point and its
-    two neighbours (a point on a coarse sample is a candidate itself).
+    of the candidates, which holds every such point and its two
+    neighbours (a point on a coarse sample is a candidate itself).
     _peak then sees the evaluated points in index order: its argmax,
     ties and vertex are those of the full grid, and an evaluated end
-    point is the grid's own first or last point.  Both passes evaluate
-    every spectrum at the same angles, and only those angles are
-    computed (AngleGrid.angles_at).
+    point is the grid's own first or last point.  Only the evaluated
+    angles are computed (AngleGrid.angles_at).
     """
     n = grid.n_points
     coarse = np.append(np.arange(0, n - 1, COARSE_STRIDE), n - 1)
     coarse_angles = grid.angles_at(coarse)
     h = float(np.diff(coarse_angles).max())
     bound = (4.0 * band * band + 2.0 * band) * h * h / 8.0 + 1e-9
-    keep = np.zeros(coarse.size, dtype=bool)
-    for mag, sup in zip(magnitudes(coarse_angles), sups):
-        power = mag * mag
-        keep |= power >= power.max() - sup * sup * bound
+    mag = magnitude(coarse_angles)
+    power = mag * mag
+    keep = power >= power.max() - sup * sup * bound
 
     window = np.arange(-COARSE_STRIDE, COARSE_STRIDE + 1)
     windows = np.clip(coarse[keep][:, None] + window, 0, n - 1).ravel()
@@ -111,58 +122,45 @@ def _coarse_to_fine(grid: AngleGrid, magnitudes, sups: list[float],
     seen = np.maximum.accumulate(windows)
     fine = windows[np.append(True, windows[1:] > seen[:-1])]
     angles = grid.angles_at(fine)
-    return [_peak(angles, mag)[1] for mag in magnitudes(angles)]
+    k, angle = _peak(angles, magnitude(angles))
+    return int(fine[k]), angle
 
 
-def _steer(values: list[np.ndarray], s: Scenario, angles: np.ndarray) -> list[np.ndarray]:
-    """Steering sums of several (Ntx, Nrx) element arrays at angles.
-
-    Each steering row is built once and added into every output in (i, j)
-    order, so each output holds the same floats as its own pass would.
-    Only one row is alive at a time.
-    """
+def _steer(v: np.ndarray, s: Scenario, angles: np.ndarray) -> np.ndarray:
+    """Steering sum of the (Ntx, Nrx) element values v at angles, added
+    in (i, j) order with one steering row alive at a time."""
     a = s.array
-    for v in values:
-        if v.shape != (a.ntx, a.nrx):
-            raise ValueError(
-                f"range spectrum has {v.shape[0]}x{v.shape[1]} elements "
-                f"but the scenario array is {a.ntx}x{a.nrx}")
+    if v.shape != (a.ntx, a.nrx):
+        raise ValueError(
+            f"range spectrum has {v.shape[0]}x{v.shape[1]} elements "
+            f"but the scenario array is {a.ntx}x{a.nrx}")
     tx, rx = a.tx_positions_m(), a.rx_positions_m()
     sin_a = np.sin(angles)
     lam = s.wavelength_m
-    outs = [np.zeros(angles.size, dtype=complex) for _ in values]
+    out = np.zeros(angles.size, dtype=complex)
     for i in range(a.ntx):
         for j in range(a.nrx):
             pos = tx[i] + rx[j]
-            row = np.exp(-2j * np.pi * pos * sin_a / lam)
-            for out, v in zip(outs, values):
-                out += v[i, j] * row
-    return outs
+            out += v[i, j] * np.exp(-2j * np.pi * pos * sin_a / lam)
+    return out
 
 
 def beamform(r: RangeSpectrum, s: Scenario) -> AngleSpectrum:
     """Steer the detected-bin values across the configured angle grid.
 
-    Element positions come from s.array, whose shape r must match.
+    Element positions come from s.array, whose shape r must match.  The
+    peak is found coarse to fine (_coarse_to_fine) and is the one a
+    search over every grid point gives: after a phase shift the steering
+    sum of v is of exponential type pi*aperture_m/lambda in sin(alpha)
+    and bounded by sum |v_ij|.  The values over the whole grid are
+    steered only when read.
     """
-    angles = s.grid.angles_rad()
-    (out,) = _steer([r.peak_values], s, angles)
-    return AngleSpectrum(angles, out, *_peak(angles, np.abs(out)))
-
-
-def beamform_peaks(spectra: list[RangeSpectrum], s: Scenario) -> list[float]:
-    """beamform(r, s).peak_angle_rad of each spectrum, bit for bit,
-    without steering the whole grid.
-
-    The peaks are found coarse to fine (_coarse_to_fine).  After a phase
-    shift the steering sum of v is of exponential type
-    pi*aperture_m/lambda in sin(alpha) and bounded by sum |v_ij|.
-    """
-    values = [r.peak_values for r in spectra]
-    return _coarse_to_fine(
-        s.grid, lambda angles: [np.abs(out) for out in _steer(values, s, angles)],
-        [float(np.abs(v).sum()) for v in values],
+    # A copy, so the spectrum does not keep r's whole range spectrum alive.
+    v = r.peak_values.copy()
+    peak = _coarse_to_fine(
+        s.grid, lambda angles: np.abs(_steer(v, s, angles)), float(np.abs(v).sum()),
         math.pi * s.array.aperture_m / s.wavelength_m)
+    return AngleSpectrum(v, s, *peak)
 
 
 def unit_phasor_spectrum(s: Scenario) -> RangeSpectrum:

@@ -14,8 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .beamformer import (beamform, beamform_peaks, unit_phasor_spectrum,
-                         write_angle_csv)
+from .beamformer import beamform, unit_phasor_spectrum, write_angle_csv
 from .closed_form import (MODES, closed_form_spectrum, peak_separation_db,
                           predicted_peak, write_closed_form_csv)
 from .experiment import (AntennaSubset, emit_results, load_sweep_spec,
@@ -44,10 +43,12 @@ def _load(args) -> tuple[Scenario, list[str]]:
     return s, s.validate()
 
 
-def _apply_subset(rspec, s, label):
+def _subset(label, s) -> AntennaSubset:
+    """The --subset selection, the whole array when label is None."""
+    a = s.array
     if label is None:
-        return rspec, s
-    return AntennaSubset.from_label(label, s.array.ntx, s.array.nrx).apply(rspec, s)
+        return AntennaSubset(a.ntx, a.nrx)
+    return AntennaSubset.from_label(label, a.ntx, a.nrx)
 
 
 def cmd_validate(args) -> int:
@@ -74,17 +75,17 @@ def cmd_simulate(args) -> int:
     s, warnings = _load(args)
     for msg in warnings:
         print(f"warning: {msg}")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    cube = synthesize_beat(s)
-    rspec = range_dft(cube, zero_pad=args.zero_pad)
-    rsub, ssub = _apply_subset(rspec, s, args.subset)
+    sub = _subset(args.subset, s)
+    rspec = range_dft(synthesize_beat(s), zero_pad=args.zero_pad)
+    rsub, ssub = sub.apply(rspec, s)
     asp = beamform(rsub, ssub)
 
     full_deg = math.degrees(asp.peak_angle_rad)
     cf_deg = math.degrees(predicted_peak(ssub, args.mode))
 
+    # The output directory appears only once the chain has succeeded.
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_range_csv(rspec, out / "range_spectrum.csv")
     write_angle_csv(asp, out / "angle_spectrum.csv")
     cf = closed_form_spectrum(ssub, args.mode)
@@ -127,13 +128,11 @@ def cmd_compare(args) -> int:
     s, warnings = _load(args)
     for msg in warnings:
         print(f"warning: {msg}")
-    rspec = range_dft(synthesize_beat(s))
-    rsub, ssub = _apply_subset(rspec, s, args.subset)
+    sub = _subset(args.subset, s)
+    rsub, ssub = sub.apply(range_dft(synthesize_beat(s)), s)
 
-    # The full chain and the steering double sum share one coarse-to-fine
-    # steering search, which returns the dense search's float.
-    full, ideal = (math.degrees(a) for a in
-                   beamform_peaks([rsub, unit_phasor_spectrum(ssub)], ssub))
+    full = math.degrees(beamform(rsub, ssub).peak_angle_rad)
+    ideal = math.degrees(beamform(unit_phasor_spectrum(ssub), ssub).peak_angle_rad)
     dirich = math.degrees(predicted_peak(ssub, "dirichlet"))
     sinc = math.degrees(predicted_peak(ssub, "sinc"))
 

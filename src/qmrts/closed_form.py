@@ -113,10 +113,9 @@ def predicted_peak(s: Scenario, mode: str) -> float:
     gain = s.rts.amplitude * s.chirp.ns * a.ntx * a.nrx
     width = a.aperture_m if mode == "dirichlet" else a.ntx * a.dtx_m + a.nrx * a.drx_m
     band = math.pi * width / s.wavelength_m
-    (peak,) = _coarse_to_fine(
-        replace(s.grid, step_rad=math.radians(FINE_STEP_DEG)),
-        lambda angles: [spectrum_magnitude(s, angles, mode)], [gain], band)
-    return peak
+    return _coarse_to_fine(replace(s.grid, step_rad=math.radians(FINE_STEP_DEG)),
+                           lambda angles: spectrum_magnitude(s, angles, mode),
+                           gain, band)[1]
 
 
 def peak_separation_db(s: Scenario) -> float:

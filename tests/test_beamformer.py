@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmrts import (AngleGrid, AntennaSubset, ConfigError, beamform,
                    predicted_peak, range_dft, synthesize_beat)
-from qmrts.beamformer import (COARSE_STRIDE, _coarse_to_fine, _peak, beamform_peaks,
+from qmrts.beamformer import (COARSE_STRIDE, _coarse_to_fine, _peak,
                               unit_phasor_spectrum, write_angle_csv)
 from conftest import build_scenario, on_bin_tau_rts
 
@@ -128,8 +128,9 @@ def test_subset_apply_errors(baseline):
 def test_beamform_rejects_mismatched_shape(baseline):
     r = range_dft(synthesize_beat(baseline))
     rsub, _ = cut("1x4", r, baseline)
-    with pytest.raises(ValueError, match="1x4 elements .* array is 2x4"):
+    with pytest.raises(ValueError) as info:
         beamform(rsub, baseline)
+    assert str(info.value) == "range spectrum has 1x4 elements but the scenario array is 2x4"
 
 
 def reference_steering_sum(r, s):
@@ -148,8 +149,8 @@ def reference_steering_sum(r, s):
 
 def dense_peak(r, s):
     """Test-local oracle: argmax and vertex over every grid point of the
-    reference steering sum, the search beamform_peaks must reproduce."""
-    return _peak(s.grid.angles_rad(), np.abs(reference_steering_sum(r, s)))[1]
+    reference steering sum, the pair beamform's search must reproduce."""
+    return _peak(s.grid.angles_rad(), np.abs(reference_steering_sum(r, s)))
 
 
 COMPARE_BOARD = dict(ntx=4, nrx=16, dtx_lambda=8.0, drx_lambda=0.5,
@@ -167,14 +168,14 @@ COMPARE_BOARD = dict(ntx=4, nrx=16, dtx_lambda=8.0, drx_lambda=0.5,
 ], ids=["2x4", "1x1", "4x16-0.002deg", "grating-lobes", "1x1-one-interval",
         "narrow-0.001deg"])
 def test_beamform_peaks_equals_beamform(kwargs):
+    # The coarse-to-fine peak of beamform is the dense search's over the
+    # values it steers on first read.
     s = build_scenario(**kwargs)
-    spectra = [range_dft(synthesize_beat(s)), unit_phasor_spectrum(s)]
-    peaks = beamform_peaks(spectra, s)
-    assert len(peaks) == 2
-    for got, r in zip(peaks, spectra):
-        want = beamform(r, s)
-        assert got == want.peak_angle_rad
-        assert want.values.tobytes() == reference_steering_sum(r, s).tobytes()
+    for r in (range_dft(synthesize_beat(s)), unit_phasor_spectrum(s)):
+        got = beamform(r, s)
+        assert (got.peak_index, got.peak_angle_rad) == dense_peak(r, s)
+        assert got.values.tobytes() == reference_steering_sum(r, s).tobytes()
+        assert got.angles_rad.tobytes() == s.grid.angles_rad().tobytes()
 
 
 @st.composite
@@ -203,13 +204,14 @@ def steering_cases(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(steering_cases())
 def test_beamform_peaks_equals_dense_search_property(s):
-    spectra = [range_dft(synthesize_beat(s)), unit_phasor_spectrum(s)]
-    assert beamform_peaks(spectra, s) == [dense_peak(r, s) for r in spectra]
+    for r in (range_dft(synthesize_beat(s)), unit_phasor_spectrum(s)):
+        got = beamform(r, s)
+        assert (got.peak_index, got.peak_angle_rad) == dense_peak(r, s)
 
 
-def dense_search(grid, magnitudes):
+def dense_search(grid, magnitude):
     angles = grid.angles_rad()
-    return [_peak(angles, mag)[1] for mag in magnitudes(angles)]
+    return _peak(angles, magnitude(angles))
 
 
 # Coarse samples of this grid fall on whole degrees.
@@ -226,20 +228,20 @@ def test_coarse_to_fine_finds_a_lobe_between_coarse_samples():
 
     def lobes(angles):
         x = np.sin(angles) - u0
-        return [np.abs(np.cos(band * x) * np.cos(x))]
+        return np.abs(np.cos(band * x) * np.cos(x))
 
-    got = _coarse_to_fine(WHOLE_DEGREES, lobes, [1.0], band + 1.0)
+    got = _coarse_to_fine(WHOLE_DEGREES, lobes, 1.0, band + 1.0)
     assert got == dense_search(WHOLE_DEGREES, lobes)
-    assert abs(DEG(got[0]) - 0.5) < 1e-3
+    assert abs(DEG(got[1]) - 0.5) < 1e-3
 
 
 def test_coarse_to_fine_float_slack_absorbs_rounding():
     # sin^2 + cos^2 is the constant 1 (type 0), so only the float slack
     # admits coarse samples that rounding left an ulp below the maximum.
     def one(angles):
-        return [np.sin(angles) ** 2 + np.cos(angles) ** 2]
+        return np.sin(angles) ** 2 + np.cos(angles) ** 2
 
-    assert _coarse_to_fine(WHOLE_DEGREES, one, [1.0], 0.0) == dense_search(WHOLE_DEGREES, one)
+    assert _coarse_to_fine(WHOLE_DEGREES, one, 1.0, 0.0) == dense_search(WHOLE_DEGREES, one)
 
 
 def test_coarse_to_fine_fine_pass_holds_stride_either_side_of_candidates():
@@ -250,9 +252,9 @@ def test_coarse_to_fine_fine_pass_holds_stride_either_side_of_candidates():
 
     def spiky(angles):
         evaluated.append(angles)
-        return [np.isin(angles, spikes).astype(float)]
+        return np.isin(angles, spikes).astype(float)
 
-    _coarse_to_fine(WHOLE_DEGREES, spiky, [1.0], 0.0)
+    _coarse_to_fine(WHOLE_DEGREES, spiky, 1.0, 0.0)
     # Windows merged in index order, each index once, clipped to the grid.
     want = np.r_[2 * c:5 * c + 1, last - c:last + 1]
     assert evaluated[1].tobytes() == WHOLE_DEGREES.angles_at(want).tobytes()
@@ -262,25 +264,15 @@ def test_beamform_peaks_allocates_no_dense_grid():
     # On this 90,001-point grid a dense angle array alone is 0.72 MB and
     # one dense complex spectrum 1.44 MB.
     s = build_scenario(**COMPARE_BOARD)
-    spectra = [range_dft(synthesize_beat(s)), unit_phasor_spectrum(s)]
-    beamform_peaks(spectra, s)
+    r = range_dft(synthesize_beat(s))
+    beamform(r, s).peak_angle_rad
     tracemalloc.start()
     try:
-        beamform_peaks(spectra, s)
+        beamform(r, s).peak_angle_rad
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 0.5e6
-
-
-def test_beamform_peaks_rejects_mismatched_shape(baseline):
-    r = range_dft(synthesize_beat(baseline))
-    rsub, _ = cut("1x4", r, baseline)
-    with pytest.raises(ValueError) as single:
-        beamform(rsub, baseline)
-    with pytest.raises(ValueError) as peaks:
-        beamform_peaks([r, rsub], baseline)
-    assert str(peaks.value) == str(single.value)
 
 
 def test_subset_fullchain_tracks_transmitter(baseline):

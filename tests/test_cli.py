@@ -2,12 +2,14 @@ import csv
 import importlib.util
 import math
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from qmrts import cli, emit_results, load_sweep_spec_file, run_sweep
+from qmrts import (beamform, cli, emit_results, load_sweep_spec_file, run_sweep,
+                   synthesize_beat)
 from qmrts.cli import main
 from qmrts.experiment import SweepSpec
 from conftest import BASELINE_CFG
@@ -289,24 +291,58 @@ def test_every_benchmark_config_loads(tmp_path, monkeypatch):
                 assert got.grid.step_rad == math.radians(float(step))
 
 
-def test_compare_steers_both_levels_in_one_pass(cfg_path, monkeypatch, capsys):
-    calls = []
+def test_compare_beamforms_each_level_once_for_its_peak(cfg_path, monkeypatch, capsys):
+    spectra = []
 
-    def spy(name):
-        fn = getattr(cli, name)
-
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
-
-    spy("beamform")
-    spy("beamform_peaks")
+    def spy(r, s):
+        spectra.append(beamform(r, s))
+        return spectra[-1]
+    monkeypatch.setattr(cli, "beamform", spy)
     assert main(["compare", str(cfg_path)]) == 0
-    assert calls == ["beamform_peaks"]
     out = capsys.readouterr().out
+    full, ideal = (math.degrees(a.peak_angle_rad) for a in spectra)
+    assert f"full chain          {full:+.6f} deg" in out
+    assert f"steering double sum {ideal:+.6f} deg" in out
     assert "full chain          +0.479583 deg" in out
     assert "steering double sum +0.476487 deg" in out
+    # Only the peaks are read: no spectrum is steered over the whole grid.
+    assert all("values" not in vars(a) for a in spectra)
+
+
+def test_simulate_frees_the_beat_cube_before_beamforming(cfg_path, tmp_path, monkeypatch):
+    cubes, alive = [], []
+
+    def synthesize(s):
+        cube = synthesize_beat(s)
+        cubes.append(weakref.ref(cube))
+        return cube
+
+    def spy(r, s):
+        alive.append(cubes[0]() is not None)
+        return beamform(r, s)
+    monkeypatch.setattr(cli, "synthesize_beat", synthesize)
+    monkeypatch.setattr(cli, "beamform", spy)
+    assert main(["simulate", str(cfg_path), str(tmp_path / "out")]) == 0
+    assert alive == [False]
+
+
+@pytest.mark.parametrize("option, code", [(["--subset", "9x9"], 1),
+                                          (["--zero-pad", "3"], 2)],
+                         ids=["subset-9x9", "zero-pad-3"])
+def test_failed_simulate_leaves_no_output_directory(cfg_path, tmp_path, capsys,
+                                                    option, code):
+    out_dir = tmp_path / "out"
+    assert main(["simulate", str(cfg_path), str(out_dir), *option]) == code
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_subset_label_is_parsed_before_synthesis(cfg_path, tmp_path, monkeypatch,
+                                                 capsys, command):
+    stop_after_load(monkeypatch)
+    argv = [command, str(cfg_path)] + ([str(tmp_path / "out")] if command == "simulate" else [])
+    assert main(argv + ["--subset", "9x9"]) == 1
+    assert 'subset "9x9" exceeds the array size 2x4' in capsys.readouterr().err
 
 
 # numpy's _ArrayMemoryError text for a cube that does not fit.

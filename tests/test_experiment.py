@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qmrts import beamformer
 from qmrts import (AntennaSubset, ConfigError, ValidationError,
                    bin_phase_frequency_scale, emit_results, rts_displacement,
                    run_sweep)
@@ -233,3 +234,16 @@ def test_per_point_error_identifies_point():
     object.__setattr__(spec, "d_max_m", 0.9)
     with pytest.raises(RuntimeError, match="sweep aborted at point 1"):
         run_sweep(spec)
+
+
+def test_sweep_never_steers_the_whole_grid(monkeypatch):
+    # Each row needs only its peak, which beamform finds coarse to fine.
+    steered = []
+    steer = beamformer._steer
+
+    def counted(v, s, angles):
+        steered.append((angles.size, s.grid.n_points))
+        return steer(v, s, angles)
+    monkeypatch.setattr(beamformer, "_steer", counted)
+    assert len(run_sweep(small_spec(points=3))) == 9
+    assert steered and all(size < n for size, n in steered)

@@ -81,6 +81,7 @@ def test_removed_api_is_gone():
                          ("read_results", experiment),
                          ("_read_config", cli),
                          ("beamform_each", beamformer),
+                         ("beamform_peaks", beamformer),
                          ("COARSE_STRIDE", closed_form),
                          ("with_theta_tx", experiment),
                          ("displacement_to_theta_tx", experiment)):
