@@ -128,9 +128,8 @@ def test_subset_apply_errors(baseline):
 def test_beamform_rejects_mismatched_shape(baseline):
     r = range_dft(synthesize_beat(baseline))
     rsub, _ = cut("1x4", r, baseline)
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError, match="1x4 elements .* array is 2x4"):
         beamform(rsub, baseline)
-    assert str(info.value) == "range spectrum has 1x4 elements but the scenario array is 2x4"
 
 
 def reference_steering_sum(r, s):
@@ -273,6 +272,17 @@ def test_beamform_peaks_allocates_no_dense_grid():
     finally:
         tracemalloc.stop()
     assert peak < 0.5e6
+
+
+def test_beamform_peaks_rejects_mismatched_shape(baseline):
+    # The peak search steers at call time, so a mismatched spectrum fails
+    # in beamform itself, after a matching one, with the exact message.
+    r = range_dft(synthesize_beat(baseline))
+    rsub, _ = cut("1x4", r, baseline)
+    beamform(r, baseline)
+    with pytest.raises(ValueError) as info:
+        beamform(rsub, baseline)
+    assert str(info.value) == "range spectrum has 1x4 elements but the scenario array is 2x4"
 
 
 def test_subset_fullchain_tracks_transmitter(baseline):
