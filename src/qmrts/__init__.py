@@ -19,7 +19,7 @@ from .scenario import (AngleGrid, ChirpConfig, ConfigError, RadarArrayConfig,
                        RtsChannelConfig, Scenario, ValidationError,
                        load_scenario, load_scenario_file)
 from .signal_chain import (BeatCube, RangeSpectrum, bin_phase_frequency_scale,
-                           range_dft, synthesize_beat)
+                           range_dft, range_spectrum, synthesize_beat)
 from .beamformer import beamform
 from .closed_form import peak_separation_db, predicted_peak
 from .experiment import (AntennaSubset, emit_results, load_sweep_spec_file,
@@ -30,7 +30,7 @@ __all__ = [
     "RtsChannelConfig", "Scenario", "ValidationError",
     "load_scenario", "load_scenario_file", "rts_displacement",
     "BeatCube", "RangeSpectrum", "bin_phase_frequency_scale", "range_dft",
-    "synthesize_beat",
+    "range_spectrum", "synthesize_beat",
     "beamform",
     "peak_separation_db", "predicted_peak",
     "AntennaSubset", "emit_results", "load_sweep_spec_file", "run_sweep",

@@ -32,9 +32,20 @@ def write_csv(path, columns: dict) -> None:
     for name, c in zip(columns, cols):
         if c.dtype.kind not in "biuf" and _UNSAFE & set("".join(map(str, c.tolist()))):
             raise ValueError(f"column {name!r} has a cell with , \" \\r or \\n")
-    row = ",".join("%.9g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    write_blocks(path, list(columns), len(cols[0]),
+                 lambda start, stop: [c[start:stop] for c in cols])
+
+
+def write_blocks(path, names: list[str], n_rows: int, block) -> None:
+    """Write n_rows rows under the header names to path.
+
+    block(start, stop) returns the columns of rows start to stop, one
+    array each, so no column need be held whole.  A column's format
+    follows its dtype, as in write_csv, which checks string cells.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for start in range(0, len(cols[0]), _BLOCK_ROWS):
-            parts = [c[start:start + _BLOCK_ROWS].tolist() for c in cols]
-            fh.write("".join(map(row.__mod__, zip(*parts))))
+        fh.write(",".join(names) + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            cols = block(start, min(start + _BLOCK_ROWS, n_rows))
+            row = ",".join("%.9g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+            fh.write("".join(map(row.__mod__, zip(*(c.tolist() for c in cols)))))

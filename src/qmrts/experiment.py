@@ -17,7 +17,7 @@ from .beamformer import beamform
 from .closed_form import predicted_peak
 from .scenario import (ConfigError, Scenario, ValidationError, config_section,
                        parse_config, read_config_file, scenario_from_config)
-from .signal_chain import RangeSpectrum, range_dft, synthesize_beat
+from .signal_chain import RangeSpectrum, range_spectrum
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def displaced(s: Scenario, d_m: float, range_compensation: bool) -> Scenario:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Process every (displacement point x antenna subset).
 
-    Each point synthesizes the full-array beat cube once; subsets are cut
+    Each point runs the full-array chain once; subsets are cut
     from the same range spectrum, mirroring reprocessing of one recording
     with different antenna selections.
     """
@@ -142,8 +142,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         try:
             point = displaced(base, d, spec.range_compensation)
             point.validate()  # raises on an invalid point
-            cube = synthesize_beat(point)
-            rspec = range_dft(cube)
+            rspec = range_spectrum(point)
             for sub in spec.subsets:
                 rsub, ssub = sub.apply(rspec, point)
                 full_deg = math.degrees(beamform(rsub, ssub).peak_angle_rad)

@@ -5,16 +5,22 @@ its frequency is (B/T)*tau, so with the forward DFT exp(-j*2*pi*k*n/Ns)
 the echo lands at bin B*tau.  The residual video term -(B/(2T))*tau^2 is
 retained so the synthesized chain matches the analytical bin phase rather
 than an idealization.
+
+range_spectrum runs the whole chain one virtual element at a time: it
+synthesizes an element's beat row, transforms it straight into the
+spectrum and adds its power to the detection sum, so at its peak it
+holds one range spectrum plus one row.  synthesize_beat and range_dft
+are the same two steps with the beat cube held in between.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import write_csv
+from ._csvio import write_blocks
 from .propagation import element_delays
 from .scenario import Scenario
 
@@ -47,17 +53,12 @@ class RangeSpectrum:
         return self.spectrum[:, :, self.peak_bin]
 
 
-def synthesize_beat(s: Scenario) -> BeatCube:
-    """Synthesize the beat tone of every virtual element.
+def _beat_rows(s: Scenario) -> Iterator[np.ndarray]:
+    """synthesize_beat's tone of each virtual element, one row at a time.
 
-    Sample n of element (ntx, nrx) is
-
-        A * exp{ j*2*pi * [ fc*tau_c + f_rts*tau_rts
-                            + (B/T)*tau*t_n - (B/(2T))*tau^2 ] }
-
-    with t_n = n*T/Ns and tau, tau_c the element's delays.  Raises
-    ValueError if any element's beat frequency reaches half the sample
-    rate.
+    Rows come in (ntx, nrx) order and share one buffer, so each is valid
+    only until the next is drawn.  The Nyquist check runs before the first
+    row is made.
     """
     c, r = s.chirp, s.rts
     fs = s.sample_rate_hz
@@ -76,15 +77,70 @@ def synthesize_beat(s: Scenario) -> BeatCube:
     t = np.arange(c.ns) * (c.t_s / c.ns)
     const = c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s - (slope / 2.0) * tau**2
     # A * exp(1j * (2*pi * (const + fbeat*t))) with the same ufuncs and
-    # operand order, so the same bits, each step written into an existing
-    # array: only the real phase cube and the complex result are allocated.
-    phase = np.multiply(fbeat[:, :, None], t[None, None, :])
-    np.add(const[:, :, None], phase, out=phase)
-    np.multiply(2.0 * np.pi, phase, out=phase)
-    samples = np.multiply(1j, phase)
-    np.exp(samples, out=samples)
-    np.multiply(r.amplitude, samples, out=samples)
+    # operand order as the one-expression cube, so the same bits, each step
+    # written into the row buffers.
+    phase = np.empty_like(t)
+    row = np.empty(c.ns, dtype=complex)
+    for f, k in zip(fbeat.flat, const.flat):
+        np.multiply(f, t, out=phase)
+        np.add(k, phase, out=phase)
+        np.multiply(2.0 * np.pi, phase, out=phase)
+        np.multiply(1j, phase, out=row)
+        np.exp(row, out=row)
+        np.multiply(r.amplitude, row, out=row)
+        yield row
+
+
+def synthesize_beat(s: Scenario) -> BeatCube:
+    """Synthesize the beat tone of every virtual element.
+
+    Sample n of element (ntx, nrx) is
+
+        A * exp{ j*2*pi * [ fc*tau_c + f_rts*tau_rts
+                            + (B/T)*tau*t_n - (B/(2T))*tau^2 ] }
+
+    with t_n = n*T/Ns and tau, tau_c the element's delays.  Raises
+    ValueError if any element's beat frequency reaches half the sample
+    rate.
+    """
+    a = s.array
+    samples = np.empty((a.ntx, a.nrx, s.chirp.ns), dtype=complex)
+    for dst, row in zip(samples.reshape(-1, s.chirp.ns), _beat_rows(s)):
+        dst[...] = row
     return BeatCube(samples=samples)
+
+
+def _detect(rows: Iterable[np.ndarray], shape: tuple[int, ...], zero_pad: int,
+            dtype) -> RangeSpectrum:
+    """FFT each beat row into a spectrum of Ns*zero_pad bins and detect the
+    range bin; shape is the (..., Ns) shape of the rows.
+
+    zero_pad must be a power of two, and is checked before the first row
+    is drawn.  The detection power is sum(|spec|^2, axis=(0, 1)) as a
+    running sum in (i, j) order, the order numpy's reduction adds in, so
+    only one row of power is alive at a time.
+    """
+    if zero_pad < 1 or zero_pad & (zero_pad - 1):
+        raise ValueError(f"zero_pad must be a power of two (got {zero_pad})")
+    *lead, ns = shape
+    n = ns * zero_pad
+    spec = np.empty((*lead, n), dtype=dtype)
+    power = np.zeros(n)
+    row_power = np.empty(n)
+    for row, element in zip(rows, spec.reshape(-1, n)):
+        np.fft.fft(row, n=n, out=element)
+        power += np.square(np.abs(element, out=row_power), out=row_power)
+    return RangeSpectrum(spectrum=spec, peak_bin=int(np.argmax(power)))
+
+
+def range_spectrum(s: Scenario, zero_pad: int = 1) -> RangeSpectrum:
+    """range_dft(synthesize_beat(s), zero_pad), bit for bit, built one
+    element row at a time: no beat cube is ever held.
+
+    zero_pad is checked before any row is synthesized.
+    """
+    a = s.array
+    return _detect(_beat_rows(s), (a.ntx, a.nrx, s.chirp.ns), zero_pad, complex)
 
 
 def range_dft(b: BeatCube, zero_pad: int = 1) -> RangeSpectrum:
@@ -94,46 +150,9 @@ def range_dft(b: BeatCube, zero_pad: int = 1) -> RangeSpectrum:
     length is Ns*zero_pad and the expected peak bin is round(B*tau*zero_pad)
     for an unaliased tone.
     """
-    if zero_pad < 1 or zero_pad & (zero_pad - 1):
-        raise ValueError(f"zero_pad must be a power of two (got {zero_pad})")
-    ns = b.samples.shape[-1]
-    spec = np.fft.fft(b.samples, n=ns * zero_pad, axis=-1)
-    # sum(|spec|^2, axis=(0, 1)) as a running sum in (i, j) order, the order
-    # numpy's reduction adds in, so only one row of power is alive at a time.
-    power = np.zeros(spec.shape[-1])
-    row = np.empty_like(power)
-    for element in spec.reshape(-1, spec.shape[-1]):
-        power += np.square(np.abs(element, out=row), out=row)
-    k = int(np.argmax(power))
-    return RangeSpectrum(spectrum=spec, peak_bin=k)
-
-
-def _check_element(ntx: int, nrx: int, shape: tuple[int, int]) -> None:
-    # Explicit, because a negative index would silently wrap.
-    for name, i, n in (("ntx", ntx, shape[0]), ("nrx", nrx, shape[1])):
-        if not 0 <= i < n:
-            raise IndexError(f"{name} index {i} out of range [0, {n})")
-
-
-def expected_bin_phase(s: Scenario, ntx: int, nrx: int, f_r: float,
-                       include_rvp: bool = True) -> float:
-    """Analytical detected-bin phase, mod 2*pi.
-
-    2*pi*[fc*tau_c + f_rts*tau_rts + (B*tau - f_R)/2], exact when B*tau
-    falls on bin f_R.  With include_rvp the retained residual video term
-    -(B/(2T))*tau^2 is added, matching the synthesized chain to machine
-    precision for on-bin scenarios; without it the formula is the idealized
-    prediction (the two differ by 2*pi*(B/(2T))*tau^2 radians).
-    """
-    c, r = s.chirp, s.rts
-    _check_element(ntx, nrx, (s.array.ntx, s.array.nrx))
-    tau_tx, tau_rx = element_delays(s)
-    tau_c = float(tau_tx[ntx, 0] + tau_rx[0, nrx])
-    tau = tau_c + r.tau_rts_s
-    cycles = c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s + 0.5 * (c.b_hz * tau - f_r)
-    if include_rvp:
-        cycles -= (c.b_hz / (2.0 * c.t_s)) * tau**2
-    return 2.0 * math.pi * (cycles % 1.0)
+    shape = b.samples.shape
+    return _detect(b.samples.reshape(-1, shape[-1]), shape, zero_pad,
+                   np.result_type(b.samples.dtype, 1j))
 
 
 def bin_phase_frequency_scale(s: Scenario) -> float:
@@ -148,8 +167,15 @@ def bin_phase_frequency_scale(s: Scenario) -> float:
 
 
 def write_range_csv(r: RangeSpectrum, path) -> None:
-    """Debug dump: columns ntx, nrx, n_or_k, re, im."""
-    ntx, nrx, k = np.indices(r.spectrum.shape).reshape(3, -1)
+    """Debug dump: columns ntx, nrx, n_or_k, re, im.
+
+    The index columns are made one block of rows at a time.
+    """
+    shape = r.spectrum.shape
     flat = r.spectrum.reshape(-1)
-    write_csv(path, {"ntx": ntx, "nrx": nrx, "n_or_k": k,
-                     "re": flat.real, "im": flat.imag})
+
+    def block(start: int, stop: int) -> list:
+        values = flat[start:stop]
+        return [*np.unravel_index(np.arange(start, stop), shape),
+                values.real, values.imag]
+    write_blocks(path, ["ntx", "nrx", "n_or_k", "re", "im"], flat.size, block)

@@ -4,6 +4,7 @@ import pytest
 
 from qmrts import (AngleGrid, ChirpConfig, RadarArrayConfig, RtsChannelConfig,
                    Scenario)
+from qmrts.propagation import element_delays
 
 BASELINE_CFG = """\
 [chirp]
@@ -63,6 +64,30 @@ def on_bin_tau_rts(s: Scenario, k: int) -> float:
     if tau_rts < 0:
         raise ValueError(f"bin {k} not reachable with rc_m={s.rts.rc_m}")
     return tau_rts
+
+
+def expected_bin_phase(s: Scenario, ntx: int, nrx: int, f_r: float,
+                       include_rvp: bool = True) -> float:
+    """Analytical detected-bin phase, mod 2*pi: the phase-contract oracle.
+
+    2*pi*[fc*tau_c + f_rts*tau_rts + (B*tau - f_R)/2], exact when B*tau
+    falls on bin f_R.  With include_rvp the retained residual video term
+    -(B/(2T))*tau^2 is added, matching the synthesized chain to machine
+    precision for on-bin scenarios; without it the formula is the idealized
+    prediction (the two differ by 2*pi*(B/(2T))*tau^2 radians).
+    """
+    c, r = s.chirp, s.rts
+    # Explicit, because a negative index would silently wrap.
+    for name, i, n in (("ntx", ntx, s.array.ntx), ("nrx", nrx, s.array.nrx)):
+        if not 0 <= i < n:
+            raise IndexError(f"{name} index {i} out of range [0, {n})")
+    tau_tx, tau_rx = element_delays(s)
+    tau_c = float(tau_tx[ntx, 0] + tau_rx[0, nrx])
+    tau = tau_c + r.tau_rts_s
+    cycles = c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s + 0.5 * (c.b_hz * tau - f_r)
+    if include_rvp:
+        cycles -= (c.b_hz / (2.0 * c.t_s)) * tau**2
+    return 2.0 * math.pi * (cycles % 1.0)
 
 
 def wrap_phase(x: float) -> float:

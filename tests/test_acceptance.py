@@ -13,11 +13,10 @@ import pytest
 from qmrts import (AntennaSubset, ValidationError, beamform,
                    bin_phase_frequency_scale, emit_results, peak_separation_db,
                    predicted_peak, range_dft, run_sweep, synthesize_beat)
-from qmrts.signal_chain import expected_bin_phase
 from qmrts.beamformer import unit_phasor_spectrum
 from qmrts.closed_form import closed_form_phase, spectrum_magnitude
 from qmrts.experiment import SweepSpec
-from conftest import build_scenario, on_bin_tau_rts, wrap_phase
+from conftest import build_scenario, expected_bin_phase, on_bin_tau_rts, wrap_phase
 
 DEG = math.degrees
 GRID_STEP_DEG = 0.01

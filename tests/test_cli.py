@@ -2,14 +2,13 @@ import csv
 import importlib.util
 import math
 import sys
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from qmrts import (beamform, cli, emit_results, load_sweep_spec_file, run_sweep,
-                   synthesize_beat)
+                   signal_chain)
 from qmrts.cli import main
 from qmrts.experiment import SweepSpec
 from conftest import BASELINE_CFG
@@ -244,7 +243,7 @@ def stop_after_load(monkeypatch):
     """Make every command stop, raising Loaded, right after its config load."""
     def stop(obj, *args, **kwargs):
         raise Loaded(obj)
-    monkeypatch.setattr(cli, "synthesize_beat", stop)
+    monkeypatch.setattr(cli, "range_spectrum", stop)
     monkeypatch.setattr(cli, "run_sweep", stop)
 
 
@@ -309,21 +308,46 @@ def test_compare_beamforms_each_level_once_for_its_peak(cfg_path, monkeypatch, c
     assert all("values" not in vars(a) for a in spectra)
 
 
-def test_simulate_frees_the_beat_cube_before_beamforming(cfg_path, tmp_path, monkeypatch):
-    cubes, alive = [], []
+@pytest.mark.parametrize("command", ["simulate", "compare", "sweep"])
+def test_commands_never_build_a_beat_cube(cfg_path, sweep_cfg_path, tmp_path,
+                                          monkeypatch, command):
+    # Every qmrts module that holds the cube API gets a spy, so a command
+    # that imports synthesize_beat or BeatCube anew is caught as well.
+    built = []
 
-    def synthesize(s):
-        cube = synthesize_beat(s)
-        cubes.append(weakref.ref(cube))
-        return cube
+    def spy(real):
+        def call(*args, **kwargs):
+            built.append(real.__name__)
+            return real(*args, **kwargs)
+        return call
+    for name, module in list(sys.modules.items()):
+        if name == "qmrts" or name.startswith("qmrts."):
+            for attr in ("synthesize_beat", "BeatCube"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, spy(getattr(signal_chain, attr)))
+    argv = {"simulate": ["simulate", str(cfg_path), str(tmp_path / "out")],
+            "compare": ["compare", str(cfg_path)],
+            "sweep": ["sweep", str(sweep_cfg_path), str(tmp_path / "sweep.csv")]}
+    assert main(argv[command]) == 0
+    assert built == []
 
-    def spy(r, s):
-        alive.append(cubes[0]() is not None)
-        return beamform(r, s)
-    monkeypatch.setattr(cli, "synthesize_beat", synthesize)
-    monkeypatch.setattr(cli, "beamform", spy)
-    assert main(["simulate", str(cfg_path), str(tmp_path / "out")]) == 0
-    assert alive == [False]
+
+def test_bad_zero_pad_synthesizes_no_row(cfg_path, tmp_path, monkeypatch, capsys):
+    rows = []
+
+    def spy(s):
+        for row in beat_rows(s):
+            rows.append(row.size)
+            yield row
+    beat_rows = signal_chain._beat_rows
+    monkeypatch.setattr(signal_chain, "_beat_rows", spy)
+    out_dir = tmp_path / "out"
+    assert main(["simulate", str(cfg_path), str(out_dir), "--zero-pad", "3"]) == 2
+    assert capsys.readouterr().err == "error: zero_pad must be a power of two (got 3)\n"
+    assert rows == []
+    # The spy sees the rows of a good factor: 2x4 elements of 1024 samples.
+    assert main(["simulate", str(cfg_path), str(out_dir), "--zero-pad", "2"]) == 0
+    assert rows == [1024] * 8
 
 
 @pytest.mark.parametrize("option, code", [(["--subset", "9x9"], 1),
@@ -355,7 +379,7 @@ def test_out_of_memory_exits_2_with_one_line(cfg_path, sweep_cfg_path, tmp_path,
                                              monkeypatch, capsys, command):
     def oom(*args, **kwargs):
         raise MemoryError(NUMPY_OOM)
-    monkeypatch.setattr(cli, "synthesize_beat", oom)
+    monkeypatch.setattr(cli, "range_spectrum", oom)
     monkeypatch.setattr(cli, "run_sweep", oom)
     argv = {"simulate": ["simulate", str(cfg_path), str(tmp_path / "out")],
             "compare": ["compare", str(cfg_path)],

@@ -3,7 +3,8 @@
 The reference is the standard library's csv.writer fed cells that
 format(v, ".9g") made from every float.  write_csv must produce the same
 bytes on every table it accepts, including the three dumps of the golden
-simulate cases, and must refuse what its row template cannot express.
+simulate cases (the range dump written block by block), and must refuse
+what its row template cannot express.
 """
 
 import csv
@@ -16,7 +17,7 @@ import pytest
 
 from golden.regen import CASES, write_configs
 from qmrts import beamformer, closed_form, signal_chain
-from qmrts._csvio import _BLOCK_ROWS, write_csv
+from qmrts._csvio import _BLOCK_ROWS, write_blocks, write_csv
 from qmrts.cli import main
 
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
@@ -118,8 +119,15 @@ def test_simulate_dumps_match_reference(name, tmp_path, monkeypatch, capsys):
         calls.append((path, columns))
         write_csv(path, columns)
 
-    for module in (signal_chain, beamformer, closed_form):
+    def spy_blocks(path, names, n_rows, block):
+        # The range dump is written block by block; the reference gets
+        # its whole columns.
+        calls.append((path, dict(zip(names, block(0, n_rows)))))
+        write_blocks(path, names, n_rows, block)
+
+    for module in (beamformer, closed_form):
         monkeypatch.setattr(module, "write_csv", spy)
+    monkeypatch.setattr(signal_chain, "write_blocks", spy_blocks)
     write_configs(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main(CASES[name][0]) == 0

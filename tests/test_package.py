@@ -57,7 +57,8 @@ PUBLIC = {
     "AngleGrid", "ChirpConfig", "ConfigError", "RadarArrayConfig",
     "RtsChannelConfig", "Scenario", "ValidationError", "load_scenario",
     "load_scenario_file", "rts_displacement", "BeatCube", "RangeSpectrum",
-    "bin_phase_frequency_scale", "range_dft", "synthesize_beat", "beamform",
+    "bin_phase_frequency_scale", "range_dft", "range_spectrum", "synthesize_beat",
+    "beamform",
     "peak_separation_db", "predicted_peak", "AntennaSubset", "emit_results",
     "load_sweep_spec_file", "run_sweep",
 }
@@ -84,7 +85,9 @@ def test_removed_api_is_gone():
                          ("beamform_peaks", beamformer),
                          ("COARSE_STRIDE", closed_form),
                          ("with_theta_tx", experiment),
-                         ("displacement_to_theta_tx", experiment)):
+                         ("displacement_to_theta_tx", experiment),
+                         ("expected_bin_phase", signal_chain),
+                         ("_check_element", signal_chain)):
         assert not hasattr(qmrts, name), name
         assert not hasattr(module, name), name
     assert cli.AMBIGUITY_GAP_DB == 6.0

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qmrts.propagation import C0, element_delays, far_field_distance
-from qmrts.signal_chain import expected_bin_phase
 from conftest import build_scenario
 
 
@@ -88,17 +87,6 @@ def test_rts_delay_enters_total_only():
     ref_tx, ref_rx = element_delays(build_scenario())
     assert np.array_equal(tau_tx, ref_tx) and np.array_equal(tau_rx, ref_rx)
     assert s.max_total_delay_s() == tau_tx.max() + tau_rx.max() + 5e-8
-
-
-def test_index_out_of_range(boresight):
-    with pytest.raises(IndexError):
-        expected_bin_phase(boresight, 2, 0, f_r=0)
-    with pytest.raises(IndexError):
-        expected_bin_phase(boresight, 0, 4, f_r=0)
-    with pytest.raises(IndexError):
-        expected_bin_phase(boresight, -1, 0, f_r=0)
-    with pytest.raises(IndexError):
-        expected_bin_phase(boresight, 0, -1, f_r=0)
 
 
 def test_far_field_reference_aperture(boresight):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from qmrts import (BeatCube, bin_phase_frequency_scale, range_dft,
-                   synthesize_beat)
+                   range_spectrum, synthesize_beat)
+from qmrts import _csvio
+from qmrts._csvio import write_csv
 from qmrts.propagation import element_delays
-from qmrts.signal_chain import expected_bin_phase, write_range_csv
-from conftest import build_scenario, on_bin_tau_rts, wrap_phase
+from qmrts.signal_chain import write_range_csv
+from conftest import build_scenario, expected_bin_phase, on_bin_tau_rts, wrap_phase
 
 
 def test_cube_shape_and_rate(baseline):
@@ -68,6 +70,17 @@ def test_on_bin_phase_matches_analytic_prediction():
             got = np.angle(r.peak_values[i, j])
             want = expected_bin_phase(s, i, j, f_r=r.peak_bin)
             assert abs(wrap_phase(got - want)) < 1e-6
+
+
+def test_index_out_of_range(boresight):
+    with pytest.raises(IndexError):
+        expected_bin_phase(boresight, 2, 0, f_r=0)
+    with pytest.raises(IndexError):
+        expected_bin_phase(boresight, 0, 4, f_r=0)
+    with pytest.raises(IndexError):
+        expected_bin_phase(boresight, -1, 0, f_r=0)
+    with pytest.raises(IndexError):
+        expected_bin_phase(boresight, 0, -1, f_r=0)
 
 
 def test_residual_video_term_size():
@@ -157,8 +170,11 @@ def test_zero_pad_scales_bin():
     s = build_scenario()
     s = build_scenario(tau_rts_s=on_bin_tau_rts(s, 8))
     assert range_dft(synthesize_beat(s), zero_pad=2).peak_bin == 16
+    assert range_spectrum(s, zero_pad=2).peak_bin == 16
     with pytest.raises(ValueError, match="power of two"):
         range_dft(synthesize_beat(s), zero_pad=3)
+    with pytest.raises(ValueError, match=r"power of two \(got 3\)"):
+        range_spectrum(s, zero_pad=3)
 
 
 def test_bin_phase_frequency_scale(boresight):
@@ -221,10 +237,11 @@ def test_chain_equals_full_size_expressions_bit_for_bit(ntx, nrx, ns, zero_pad, 
     b = synthesize_beat(s)
     assert np.array_equal(bits(b.samples), bits(reference_beat(s)))
 
-    r = range_dft(b, zero_pad=zero_pad)
-    spec = np.fft.fft(b.samples, n=ns * zero_pad, axis=-1)
-    assert np.array_equal(bits(r.spectrum), bits(spec))
-    assert r.peak_bin == int(np.argmax(np.sum(np.abs(spec) ** 2, axis=(0, 1))))
+    spec = np.fft.fft(reference_beat(s), n=ns * zero_pad, axis=-1)
+    peak_bin = int(np.argmax(np.sum(np.abs(spec) ** 2, axis=(0, 1))))
+    for r in (range_dft(b, zero_pad=zero_pad), range_spectrum(s, zero_pad)):
+        assert np.array_equal(bits(r.spectrum), bits(spec))
+        assert r.peak_bin == peak_bin
 
 
 def test_range_dft_leaves_input_unchanged():
@@ -237,7 +254,12 @@ def test_range_dft_leaves_input_unchanged():
 
 
 def traced_peak(fn, *args):
-    """fn(*args) and the peak of the memory it allocated, per tracemalloc."""
+    """fn(*args) and the peak of the memory it allocated, per tracemalloc.
+
+    One untraced call first, so a lazy import (numpy.fft's, on a first
+    transform) is not counted as the call's own memory.
+    """
+    fn(*args)
     tracemalloc.start()
     try:
         out = fn(*args)
@@ -247,12 +269,20 @@ def traced_peak(fn, *args):
     return out, peak
 
 
-def test_synthesis_peak_memory_is_one_and_a_half_cubes():
-    # One complex cube plus the real phase cube it is made from; a chain
-    # of full-size temporaries peaks at 2.5 cubes.
+def test_synthesis_peak_memory_is_one_cube():
+    # The cube plus one element row of phase and samples; a real phase
+    # cube would add half a cube, and full-size temporaries 1.5 cubes.
     s = build_scenario(ntx=4, nrx=16, ns=4096, theta_tx_deg=1.0)
     b, peak = traced_peak(synthesize_beat, s)
-    assert peak <= 1.6 * b.samples.nbytes
+    assert peak <= 1.1 * b.samples.nbytes
+
+
+def test_range_spectrum_holds_no_beat_cube():
+    # The spectrum plus one element row; a beat cube would add a whole
+    # spectrum's worth at zero_pad 1.
+    s = build_scenario(ntx=4, nrx=16, ns=4096, theta_tx_deg=1.0)
+    r, peak = traced_peak(range_spectrum, s)
+    assert peak <= 1.1 * r.spectrum.nbytes
 
 
 def test_range_dft_allocates_only_its_spectrum():
@@ -261,3 +291,26 @@ def test_range_dft_allocates_only_its_spectrum():
     b = synthesize_beat(build_scenario(ntx=4, nrx=16, ns=4096, theta_tx_deg=1.0))
     r, peak = traced_peak(range_dft, b)
     assert peak <= 1.1 * r.spectrum.nbytes
+
+
+def test_range_csv_equals_whole_column_write(tmp_path):
+    # The index columns of np.indices over the whole spectrum, written by
+    # the one CSV writer, give the same bytes.
+    s = build_scenario(ntx=2, nrx=3, ns=2048, theta_tx_deg=4.0)
+    r = range_spectrum(s, 2)
+    write_range_csv(r, tmp_path / "blocks.csv")
+    ntx, nrx, k = np.indices(r.spectrum.shape).reshape(3, -1)
+    flat = r.spectrum.reshape(-1)
+    write_csv(tmp_path / "whole.csv", {"ntx": ntx, "nrx": nrx, "n_or_k": k,
+                                       "re": flat.real, "im": flat.imag})
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_range_csv_allocates_far_less_than_index_columns(tmp_path, monkeypatch):
+    # Three int64 index columns of the whole spectrum take 3*8 bytes per
+    # row; the writer holds one block of rows, whatever the spectrum size.
+    # Short blocks keep the traced formatting quick.
+    monkeypatch.setattr(_csvio, "_BLOCK_ROWS", 256)
+    r = range_spectrum(build_scenario(ntx=2, nrx=4, ns=4096, theta_tx_deg=1.0))
+    _, peak = traced_peak(write_range_csv, r, tmp_path / "range.csv")
+    assert peak <= 0.25 * 3 * 8 * r.spectrum.size
