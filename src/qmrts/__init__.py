@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 from .scenario import (AngleGrid, ChirpConfig, ConfigError, RadarArrayConfig,
                        RtsChannelConfig, Scenario, ValidationError,
                        load_scenario, load_scenario_file)
-from .signal_chain import (BeatCube, RangeSpectrum, bin_phase_frequency_scale,
-                           range_dft, range_spectrum, synthesize_beat)
+from .signal_chain import RangeSpectrum, bin_phase_frequency_scale, range_spectrum
 from .beamformer import beamform
 from .closed_form import peak_separation_db, predicted_peak
 from .experiment import (AntennaSubset, emit_results, load_sweep_spec_file,
@@ -29,8 +28,7 @@ __all__ = [
     "AngleGrid", "ChirpConfig", "ConfigError", "RadarArrayConfig",
     "RtsChannelConfig", "Scenario", "ValidationError",
     "load_scenario", "load_scenario_file", "rts_displacement",
-    "BeatCube", "RangeSpectrum", "bin_phase_frequency_scale", "range_dft",
-    "range_spectrum", "synthesize_beat",
+    "RangeSpectrum", "bin_phase_frequency_scale", "range_spectrum",
     "beamform",
     "peak_separation_db", "predicted_peak",
     "AntennaSubset", "emit_results", "load_sweep_spec_file", "run_sweep",

@@ -9,13 +9,11 @@ than an idealization.
 range_spectrum runs the whole chain one virtual element at a time: it
 synthesizes an element's beat row, transforms it straight into the
 spectrum and adds its power to the detection sum, so at its peak it
-holds one range spectrum plus one row.  synthesize_beat and range_dft
-are the same two steps with the beat cube held in between.
+holds one range spectrum plus one row.  No beat cube is ever built.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +21,6 @@ import numpy as np
 from ._csvio import write_blocks
 from .propagation import element_delays
 from .scenario import Scenario
-
-
-@dataclass(frozen=True)
-class BeatCube:
-    """Noiseless beat samples per virtual element, shape (Ntx, Nrx, Ns).
-
-    Element positions and the sample rate belong to the Scenario.
-    """
-
-    samples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -53,13 +41,26 @@ class RangeSpectrum:
         return self.spectrum[:, :, self.peak_bin]
 
 
-def _beat_rows(s: Scenario) -> Iterator[np.ndarray]:
-    """synthesize_beat's tone of each virtual element, one row at a time.
+def range_spectrum(s: Scenario, zero_pad: int = 1) -> RangeSpectrum:
+    """Synthesize, transform and detect the beat tone of every virtual element.
 
-    Rows come in (ntx, nrx) order and share one buffer, so each is valid
-    only until the next is drawn.  The Nyquist check runs before the first
-    row is made.
+    Sample n of element (ntx, nrx) is
+
+        A * exp{ j*2*pi * [ fc*tau_c + f_rts*tau_rts
+                            + (B/T)*tau*t_n - (B/(2T))*tau^2 ] }
+
+    with t_n = n*T/Ns and tau, tau_c the element's delays.  Each element's
+    row gets an unwindowed forward DFT of Ns*zero_pad points, so the
+    expected peak bin is round(B*tau*zero_pad) for an unaliased tone.
+
+    zero_pad must be a power of two, and is checked before anything is
+    synthesized.  Raises ValueError if any element's beat frequency
+    reaches half the sample rate.  The detection power is
+    sum(|spec|^2, axis=(0, 1)) as a running sum in (i, j) order, the order
+    numpy's reduction adds in, so only one row of power is alive at a time.
     """
+    if zero_pad < 1 or zero_pad & (zero_pad - 1):
+        raise ValueError(f"zero_pad must be a power of two (got {zero_pad})")
     c, r = s.chirp, s.rts
     fs = s.sample_rate_hz
 
@@ -69,90 +70,32 @@ def _beat_rows(s: Scenario) -> Iterator[np.ndarray]:
 
     slope = c.b_hz / c.t_s
     fbeat = slope * tau
-    if np.max(fbeat) >= fs / 2.0:
+    if not np.max(fbeat) < fs / 2.0:
         raise ValueError(
             f"Nyquist violation: beat frequency {np.max(fbeat):.6g} Hz >= "
             f"fs/2 = {fs / 2.0:.6g} Hz")
 
     t = np.arange(c.ns) * (c.t_s / c.ns)
     const = c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s - (slope / 2.0) * tau**2
+    n = c.ns * zero_pad
+    spec = np.empty((s.array.ntx, s.array.nrx, n), dtype=complex)
+    power = np.zeros(n)
+    row_power = np.empty(n)
+    phase = np.empty_like(t)
+    row = np.empty(c.ns, dtype=complex)
     # A * exp(1j * (2*pi * (const + fbeat*t))) with the same ufuncs and
     # operand order as the one-expression cube, so the same bits, each step
     # written into the row buffers.
-    phase = np.empty_like(t)
-    row = np.empty(c.ns, dtype=complex)
-    for f, k in zip(fbeat.flat, const.flat):
+    for f, k, element in zip(fbeat.flat, const.flat, spec.reshape(-1, n)):
         np.multiply(f, t, out=phase)
         np.add(k, phase, out=phase)
         np.multiply(2.0 * np.pi, phase, out=phase)
         np.multiply(1j, phase, out=row)
         np.exp(row, out=row)
         np.multiply(r.amplitude, row, out=row)
-        yield row
-
-
-def synthesize_beat(s: Scenario) -> BeatCube:
-    """Synthesize the beat tone of every virtual element.
-
-    Sample n of element (ntx, nrx) is
-
-        A * exp{ j*2*pi * [ fc*tau_c + f_rts*tau_rts
-                            + (B/T)*tau*t_n - (B/(2T))*tau^2 ] }
-
-    with t_n = n*T/Ns and tau, tau_c the element's delays.  Raises
-    ValueError if any element's beat frequency reaches half the sample
-    rate.
-    """
-    a = s.array
-    samples = np.empty((a.ntx, a.nrx, s.chirp.ns), dtype=complex)
-    for dst, row in zip(samples.reshape(-1, s.chirp.ns), _beat_rows(s)):
-        dst[...] = row
-    return BeatCube(samples=samples)
-
-
-def _detect(rows: Iterable[np.ndarray], shape: tuple[int, ...], zero_pad: int,
-            dtype) -> RangeSpectrum:
-    """FFT each beat row into a spectrum of Ns*zero_pad bins and detect the
-    range bin; shape is the (..., Ns) shape of the rows.
-
-    zero_pad must be a power of two, and is checked before the first row
-    is drawn.  The detection power is sum(|spec|^2, axis=(0, 1)) as a
-    running sum in (i, j) order, the order numpy's reduction adds in, so
-    only one row of power is alive at a time.
-    """
-    if zero_pad < 1 or zero_pad & (zero_pad - 1):
-        raise ValueError(f"zero_pad must be a power of two (got {zero_pad})")
-    *lead, ns = shape
-    n = ns * zero_pad
-    spec = np.empty((*lead, n), dtype=dtype)
-    power = np.zeros(n)
-    row_power = np.empty(n)
-    for row, element in zip(rows, spec.reshape(-1, n)):
         np.fft.fft(row, n=n, out=element)
         power += np.square(np.abs(element, out=row_power), out=row_power)
     return RangeSpectrum(spectrum=spec, peak_bin=int(np.argmax(power)))
-
-
-def range_spectrum(s: Scenario, zero_pad: int = 1) -> RangeSpectrum:
-    """range_dft(synthesize_beat(s), zero_pad), bit for bit, built one
-    element row at a time: no beat cube is ever held.
-
-    zero_pad is checked before any row is synthesized.
-    """
-    a = s.array
-    return _detect(_beat_rows(s), (a.ntx, a.nrx, s.chirp.ns), zero_pad, complex)
-
-
-def range_dft(b: BeatCube, zero_pad: int = 1) -> RangeSpectrum:
-    """Per-element forward DFT and noncoherent range detection.
-
-    No window is applied.  zero_pad must be a power of two; the transform
-    length is Ns*zero_pad and the expected peak bin is round(B*tau*zero_pad)
-    for an unaliased tone.
-    """
-    shape = b.samples.shape
-    return _detect(b.samples.reshape(-1, shape[-1]), shape, zero_pad,
-                   np.result_type(b.samples.dtype, 1j))
 
 
 def bin_phase_frequency_scale(s: Scenario) -> float:

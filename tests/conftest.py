@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qmrts import (AngleGrid, ChirpConfig, RadarArrayConfig, RtsChannelConfig,
@@ -88,6 +89,22 @@ def expected_bin_phase(s: Scenario, ntx: int, nrx: int, f_r: float,
     if include_rvp:
         cycles -= (c.b_hz / (2.0 * c.t_s)) * tau**2
     return 2.0 * math.pi * (cycles % 1.0)
+
+
+def reference_beat(s: Scenario) -> np.ndarray:
+    """The beat cube (Ntx, Nrx, Ns) as one expression with full-size
+    temporaries: the oracle that range_spectrum's synthesis must match bit
+    for bit."""
+    c, r = s.chirp, s.rts
+    tau_tx, tau_rx = element_delays(s)
+    tau_c = tau_tx + tau_rx
+    tau = tau_c + r.tau_rts_s
+    slope = c.b_hz / c.t_s
+    fbeat = slope * tau
+    t = np.arange(c.ns) * (c.t_s / c.ns)
+    const = c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s - (slope / 2.0) * tau**2
+    return r.amplitude * np.exp(1j * (2.0 * np.pi * (const[:, :, None]
+                                                     + fbeat[:, :, None] * t[None, None, :])))
 
 
 def wrap_phase(x: float) -> float:

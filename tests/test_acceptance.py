@@ -12,11 +12,12 @@ import pytest
 
 from qmrts import (AntennaSubset, ValidationError, beamform,
                    bin_phase_frequency_scale, emit_results, peak_separation_db,
-                   predicted_peak, range_dft, run_sweep, synthesize_beat)
+                   predicted_peak, range_spectrum, run_sweep)
 from qmrts.beamformer import unit_phasor_spectrum
 from qmrts.closed_form import closed_form_phase, spectrum_magnitude
 from qmrts.experiment import SweepSpec
-from conftest import build_scenario, expected_bin_phase, on_bin_tau_rts, wrap_phase
+from conftest import (build_scenario, expected_bin_phase, on_bin_tau_rts,
+                      reference_beat, wrap_phase)
 
 DEG = math.degrees
 GRID_STEP_DEG = 0.01
@@ -28,7 +29,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def fullchain_peak_deg(s) -> float:
-    return DEG(beamform(range_dft(synthesize_beat(s)), s).peak_angle_rad)
+    return DEG(beamform(range_spectrum(s), s).peak_angle_rad)
 
 
 def ideal_peak_deg(s) -> float:
@@ -207,7 +208,7 @@ def test_criterion_6_phase_contract():
     for rc, k in cases:
         probe = build_scenario(rc_m=rc)
         s = build_scenario(rc_m=rc, tau_rts_s=on_bin_tau_rts(probe, k))
-        rspec = range_dft(synthesize_beat(s))
+        rspec = range_spectrum(s)
         assert rspec.peak_bin == k
         for i in range(2):
             for j in range(4):
@@ -229,32 +230,31 @@ def test_criterion_7_range_detection():
     for tau_rts in np.linspace(0.0, 5e-6, 10):
         s = build_scenario(ns=16384, tau_rts_s=float(tau_rts))
         btau = s.chirp.b_hz * (2.0 / 299_792_458.0 + float(tau_rts))
-        k = range_dft(synthesize_beat(s)).peak_bin
+        k = range_spectrum(s).peak_bin
         assert k == round(btau), (tau_rts, btau, k)
         checked += 1
     probe = build_scenario(ns=16384)
     s = build_scenario(ns=16384, tau_rts_s=on_bin_tau_rts(probe, 512))
-    exact = range_dft(synthesize_beat(s)).peak_bin
+    exact = range_spectrum(s).peak_bin
     ok = checked == 10 and exact == 512
     report(7, ok, f"detected bin equals round(B*tau) across tau_rts in "
            f"[0, 5 us] ({checked} scenarios) and exactly on-bin at k=512")
 
 
 def test_criterion_8_dft_invariants(baseline):
-    b = synthesize_beat(baseline)
-    r = range_dft(b)
+    beat = reference_beat(baseline)
+    r = range_spectrum(baseline)
     worst = 0.0
     for i in range(2):
         for j in range(4):
-            lhs = float(np.sum(np.abs(b.samples[i, j]) ** 2))
+            lhs = float(np.sum(np.abs(beat[i, j]) ** 2))
             rhs = float(np.sum(np.abs(r.spectrum[i, j]) ** 2)) / 1024
             worst = max(worst, abs(lhs - rhs) / lhs)
 
     probe = build_scenario()
     tau0 = on_bin_tau_rts(probe, 8)
-    k0 = range_dft(synthesize_beat(build_scenario(tau_rts_s=tau0))).peak_bin
-    k1 = range_dft(synthesize_beat(
-        build_scenario(tau_rts_s=tau0 + 1e-9))).peak_bin
+    k0 = range_spectrum(build_scenario(tau_rts_s=tau0)).peak_bin
+    k1 = range_spectrum(build_scenario(tau_rts_s=tau0 + 1e-9)).peak_bin
     ok = worst < 1e-10 and k0 == 8 and k1 == 9
     report(8, ok, f"Parseval rel err {worst:.1e} < 1e-10; delta tau = 1/B "
            f"shifts the detected bin {k0} -> {k1}")
@@ -284,21 +284,21 @@ def test_criterion_9_invariance_fuzzing():
         # point: the refined peak must be bit-identical
         m = int(rng.integers(1, 3)) * (1 if rng.random() < 0.5 else -1)
         scaled = build_scenario(amplitude=amp * 2.0 ** m, **kw)
-        a1 = beamform(range_dft(synthesize_beat(s)), s)
-        a2 = beamform(range_dft(synthesize_beat(scaled)), scaled)
+        a1 = beamform(range_spectrum(s), s)
+        a2 = beamform(range_spectrum(scaled), scaled)
         assert a1.peak_angle_rad == a2.peak_angle_rad
         checks += 1
 
         mirrored = build_scenario(amplitude=amp, **{
             **kw, "theta_rx_deg": -th_rx, "theta_tx_deg": -th_tx})
-        a3 = beamform(range_dft(synthesize_beat(mirrored)), mirrored)
+        a3 = beamform(range_spectrum(mirrored), mirrored)
         assert abs(a1.peak_angle_rad + a3.peak_angle_rad) < math.radians(GRID_STEP_DEG)
         checks += 1
 
         swapped = build_scenario(amplitude=amp, **{
             **kw, "ntx": nrx, "nrx": ntx, "dtx_lambda": drxl,
             "drx_lambda": dtxl, "theta_rx_deg": th_tx, "theta_tx_deg": th_rx})
-        a4 = beamform(range_dft(synthesize_beat(swapped)), swapped)
+        a4 = beamform(range_spectrum(swapped), swapped)
         assert abs(a1.peak_angle_rad - a4.peak_angle_rad) < math.radians(GRID_STEP_DEG)
         checks += 1
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmrts import (AngleGrid, AntennaSubset, ConfigError, beamform,
-                   predicted_peak, range_dft, synthesize_beat)
+                   predicted_peak, range_spectrum)
 from qmrts.beamformer import (COARSE_STRIDE, _coarse_to_fine, _peak,
                               unit_phasor_spectrum, write_angle_csv)
 from conftest import build_scenario, on_bin_tau_rts
@@ -17,7 +17,7 @@ DEG = math.degrees
 
 
 def fullchain_spectrum(s):
-    return beamform(range_dft(synthesize_beat(s)), s)
+    return beamform(range_spectrum(s), s)
 
 
 def test_boresight_coherent_gain():
@@ -42,7 +42,7 @@ def test_fullchain_peak_reference_offset(baseline):
 
 
 def test_refined_peak_tracks_fine_grid_argmax(baseline):
-    r = range_dft(synthesize_beat(baseline))
+    r = range_spectrum(baseline)
     coarse = beamform(r, baseline)
     from dataclasses import replace
     fine_scenario = replace(baseline,
@@ -96,7 +96,7 @@ def cut(label, r, s):
 
 
 def test_subset_apply_identity_and_shapes(baseline):
-    r = range_dft(synthesize_beat(baseline))
+    r = range_spectrum(baseline)
     same, s24 = cut("2x4", r, baseline)
     assert np.array_equal(same.peak_values, r.peak_values)
     assert s24 == baseline
@@ -114,7 +114,7 @@ def test_subset_apply_identity_and_shapes(baseline):
 
 
 def test_subset_apply_errors(baseline):
-    r = range_dft(synthesize_beat(baseline))
+    r = range_spectrum(baseline)
     with pytest.raises(ConfigError):
         cut("0x4", r, baseline)
     with pytest.raises(ConfigError, match="exceeds"):
@@ -126,7 +126,7 @@ def test_subset_apply_errors(baseline):
 
 
 def test_beamform_rejects_mismatched_shape(baseline):
-    r = range_dft(synthesize_beat(baseline))
+    r = range_spectrum(baseline)
     rsub, _ = cut("1x4", r, baseline)
     with pytest.raises(ValueError, match="1x4 elements .* array is 2x4"):
         beamform(rsub, baseline)
@@ -170,7 +170,7 @@ def test_beamform_peaks_equals_beamform(kwargs):
     # The coarse-to-fine peak of beamform is the dense search's over the
     # values it steers on first read.
     s = build_scenario(**kwargs)
-    for r in (range_dft(synthesize_beat(s)), unit_phasor_spectrum(s)):
+    for r in (range_spectrum(s), unit_phasor_spectrum(s)):
         got = beamform(r, s)
         assert (got.peak_index, got.peak_angle_rad) == dense_peak(r, s)
         assert got.values.tobytes() == reference_steering_sum(r, s).tobytes()
@@ -203,7 +203,7 @@ def steering_cases(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(steering_cases())
 def test_beamform_peaks_equals_dense_search_property(s):
-    for r in (range_dft(synthesize_beat(s)), unit_phasor_spectrum(s)):
+    for r in (range_spectrum(s), unit_phasor_spectrum(s)):
         got = beamform(r, s)
         assert (got.peak_index, got.peak_angle_rad) == dense_peak(r, s)
 
@@ -263,7 +263,7 @@ def test_beamform_peaks_allocates_no_dense_grid():
     # On this 90,001-point grid a dense angle array alone is 0.72 MB and
     # one dense complex spectrum 1.44 MB.
     s = build_scenario(**COMPARE_BOARD)
-    r = range_dft(synthesize_beat(s))
+    r = range_spectrum(s)
     beamform(r, s).peak_angle_rad
     tracemalloc.start()
     try:
@@ -277,7 +277,7 @@ def test_beamform_peaks_allocates_no_dense_grid():
 def test_beamform_peaks_rejects_mismatched_shape(baseline):
     # The peak search steers at call time, so a mismatched spectrum fails
     # in beamform itself, after a matching one, with the exact message.
-    r = range_dft(synthesize_beat(baseline))
+    r = range_spectrum(baseline)
     rsub, _ = cut("1x4", r, baseline)
     beamform(r, baseline)
     with pytest.raises(ValueError) as info:
@@ -286,7 +286,7 @@ def test_beamform_peaks_rejects_mismatched_shape(baseline):
 
 
 def test_subset_fullchain_tracks_transmitter(baseline):
-    r = range_dft(synthesize_beat(baseline))
+    r = range_spectrum(baseline)
     a = beamform(*cut("1x4", r, baseline))
     # detected angle = asin(scale * sin(2 deg)), scale ~ 1.00649
     assert DEG(a.peak_angle_rad) == pytest.approx(2.0130, abs=2e-3)

@@ -308,46 +308,23 @@ def test_compare_beamforms_each_level_once_for_its_peak(cfg_path, monkeypatch, c
     assert all("values" not in vars(a) for a in spectra)
 
 
-@pytest.mark.parametrize("command", ["simulate", "compare", "sweep"])
-def test_commands_never_build_a_beat_cube(cfg_path, sweep_cfg_path, tmp_path,
-                                          monkeypatch, command):
-    # Every qmrts module that holds the cube API gets a spy, so a command
-    # that imports synthesize_beat or BeatCube anew is caught as well.
-    built = []
-
-    def spy(real):
-        def call(*args, **kwargs):
-            built.append(real.__name__)
-            return real(*args, **kwargs)
-        return call
-    for name, module in list(sys.modules.items()):
-        if name == "qmrts" or name.startswith("qmrts."):
-            for attr in ("synthesize_beat", "BeatCube"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, spy(getattr(signal_chain, attr)))
-    argv = {"simulate": ["simulate", str(cfg_path), str(tmp_path / "out")],
-            "compare": ["compare", str(cfg_path)],
-            "sweep": ["sweep", str(sweep_cfg_path), str(tmp_path / "sweep.csv")]}
-    assert main(argv[command]) == 0
-    assert built == []
-
-
 def test_bad_zero_pad_synthesizes_no_row(cfg_path, tmp_path, monkeypatch, capsys):
-    rows = []
+    # The chain's synthesis starts from the element delays, so a factor
+    # rejected before synthesis never asks for them.
+    delays = []
 
     def spy(s):
-        for row in beat_rows(s):
-            rows.append(row.size)
-            yield row
-    beat_rows = signal_chain._beat_rows
-    monkeypatch.setattr(signal_chain, "_beat_rows", spy)
+        delays.append(element_delays(s))
+        return delays[-1]
+    element_delays = signal_chain.element_delays
+    monkeypatch.setattr(signal_chain, "element_delays", spy)
     out_dir = tmp_path / "out"
     assert main(["simulate", str(cfg_path), str(out_dir), "--zero-pad", "3"]) == 2
     assert capsys.readouterr().err == "error: zero_pad must be a power of two (got 3)\n"
-    assert rows == []
-    # The spy sees the rows of a good factor: 2x4 elements of 1024 samples.
+    assert delays == []
+    # The spy sees the delays of a good factor: one (2x1, 1x4) pair.
     assert main(["simulate", str(cfg_path), str(out_dir), "--zero-pad", "2"]) == 0
-    assert rows == [1024] * 8
+    assert [(tx.shape, rx.shape) for tx, rx in delays] == [((2, 1), (1, 4))]
 
 
 @pytest.mark.parametrize("option, code", [(["--subset", "9x9"], 1),

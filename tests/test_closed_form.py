@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmrts import (AngleGrid, beamform, closed_form, peak_separation_db,
-                   predicted_peak, range_dft, synthesize_beat)
+                   predicted_peak, range_spectrum)
 from qmrts.beamformer import _peak
 from qmrts.cli import AMBIGUITY_GAP_DB
 from qmrts.closed_form import (closed_form_phase, closed_form_spectrum,
@@ -134,7 +134,7 @@ def test_phase_constant_matches_fullchain_peak_phase():
     # video term ~2e-3 rad at bin 8 remains).
     s = build_scenario(rc_m=0.3)
     s = build_scenario(rc_m=0.3, tau_rts_s=on_bin_tau_rts(s, 8))
-    a = beamform(range_dft(synthesize_beat(s)), s)
+    a = beamform(range_spectrum(s), s)
     got = np.angle(a.values[a.peak_index])
     assert abs(wrap_phase(got - closed_form_phase(s))) < 1e-2
 

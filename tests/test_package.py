@@ -1,5 +1,6 @@
 import inspect
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -36,6 +37,19 @@ def test_compare_does_not_load_numpy_ma():
     assert _python(code).splitlines()[-1] == "False"
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # The README's python block, run beside a copy of the example config,
+    # so a README that names a removed function fails here.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+    assert len(blocks) == 1
+    shutil.copy(root / "scenario.example.cfg", tmp_path / "scenario.cfg")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert "antenna separation:" in capsys.readouterr().out
+
+
 def test_public_names_resolve():
     for name in qmrts.__all__:
         assert getattr(qmrts, name) is not None, name
@@ -56,8 +70,8 @@ def test_public_names_follow_the_geometry_api():
 PUBLIC = {
     "AngleGrid", "ChirpConfig", "ConfigError", "RadarArrayConfig",
     "RtsChannelConfig", "Scenario", "ValidationError", "load_scenario",
-    "load_scenario_file", "rts_displacement", "BeatCube", "RangeSpectrum",
-    "bin_phase_frequency_scale", "range_dft", "range_spectrum", "synthesize_beat",
+    "load_scenario_file", "rts_displacement", "RangeSpectrum",
+    "bin_phase_frequency_scale", "range_spectrum",
     "beamform",
     "peak_separation_db", "predicted_peak", "AntennaSubset", "emit_results",
     "load_sweep_spec_file", "run_sweep",
@@ -87,7 +101,12 @@ def test_removed_api_is_gone():
                          ("with_theta_tx", experiment),
                          ("displacement_to_theta_tx", experiment),
                          ("expected_bin_phase", signal_chain),
-                         ("_check_element", signal_chain)):
+                         ("_check_element", signal_chain),
+                         ("synthesize_beat", signal_chain),
+                         ("range_dft", signal_chain),
+                         ("BeatCube", signal_chain),
+                         ("_beat_rows", signal_chain),
+                         ("_detect", signal_chain)):
         assert not hasattr(qmrts, name), name
         assert not hasattr(module, name), name
     assert cli.AMBIGUITY_GAP_DB == 6.0

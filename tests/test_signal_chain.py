@@ -1,70 +1,88 @@
 import csv
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qmrts import (BeatCube, bin_phase_frequency_scale, range_dft,
-                   range_spectrum, synthesize_beat)
+from qmrts import bin_phase_frequency_scale, range_spectrum
 from qmrts import _csvio
 from qmrts._csvio import write_csv
-from qmrts.propagation import element_delays
 from qmrts.signal_chain import write_range_csv
-from conftest import build_scenario, expected_bin_phase, on_bin_tau_rts, wrap_phase
+from conftest import (build_scenario, expected_bin_phase, on_bin_tau_rts,
+                      reference_beat, wrap_phase)
 
 
 def test_cube_shape_and_rate(baseline):
-    b = synthesize_beat(baseline)
-    assert b.samples.shape == (2, 4, 1024)
-    # The rate is the Scenario's: Ns samples over one chirp period.
-    assert b.samples.shape[-1] / baseline.chirp.t_s == baseline.sample_rate_hz
+    # The spectrum cube is (Ntx, Nrx, Ns*zero_pad).
+    for zp in (1, 2):
+        r = range_spectrum(baseline, zp)
+        assert r.spectrum.shape == (2, 4, 1024 * zp)
+        # The rate is the Scenario's: Ns samples over one chirp period.
+        assert r.spectrum.shape[-1] / zp / baseline.chirp.t_s == baseline.sample_rate_hz
 
 
-def test_sample_magnitude_equals_amplitude():
-    b = synthesize_beat(build_scenario(amplitude=2.0, theta_tx_deg=1.0))
-    assert np.allclose(np.abs(b.samples), 2.0, rtol=1e-15, atol=0.0)
+def test_parseval():
+    # Each element's beat row is Ns samples of magnitude A, so its
+    # spectrum holds Ns*A^2 of energy, zero-padded or not.
+    s = build_scenario(amplitude=2.0, theta_tx_deg=1.0)
+    want = 1024 * 2.0**2
+    for zp in (1, 2):
+        r = range_spectrum(s, zp)
+        n = r.spectrum.shape[-1]
+        for i in range(2):
+            for j in range(4):
+                got = np.sum(np.abs(r.spectrum[i, j]) ** 2) / n
+                assert abs(got - want) / want < 1e-10
 
 
 def test_boresight_elements_identical(boresight):
-    b = synthesize_beat(boresight)
+    r = range_spectrum(boresight)
     for i in range(2):
         for j in range(4):
-            assert np.array_equal(b.samples[i, j], b.samples[0, 0])
+            assert np.array_equal(r.spectrum[i, j], r.spectrum[0, 0])
 
 
 def test_offset_elements_differ(baseline):
-    b = synthesize_beat(baseline)
-    assert not np.array_equal(b.samples[0, 1], b.samples[0, 0])
+    r = range_spectrum(baseline)
+    assert not np.array_equal(r.spectrum[0, 1], r.spectrum[0, 0])
 
 
 def test_nyquist_violation_raises():
     s = build_scenario()
     # bypass scenario validation by constructing the over-delayed variant
     # directly: beat of tau_rts = 1 us is 10 MHz against fs/2 = 5.12 MHz
-    from dataclasses import replace
     bad = replace(s, rts=replace(s.rts, tau_rts_s=1e-6))
     with pytest.raises(ValueError, match="Nyquist"):
-        synthesize_beat(bad)
+        range_spectrum(bad)
+
+
+def test_nan_delay_fails_the_nyquist_check():
+    # A NaN beat frequency compares False both ways, so it must not pass.
+    s = build_scenario()
+    bad = replace(s, rts=replace(s.rts, tau_rts_s=math.nan))
+    with pytest.raises(ValueError, match="Nyquist"):
+        range_spectrum(bad)
 
 
 def test_detected_bin_off_grid(boresight):
     # B*tau = 1e9 * 2/c0 = 6.671 -> nearest bin 7
-    r = range_dft(synthesize_beat(boresight))
+    r = range_spectrum(boresight)
     assert r.peak_bin == 7
 
 
 def test_detected_bin_on_grid_exact():
     s = build_scenario()
     s = build_scenario(tau_rts_s=on_bin_tau_rts(s, 64))
-    r = range_dft(synthesize_beat(s))
+    r = range_spectrum(s)
     assert r.peak_bin == 64
 
 
 def test_on_bin_phase_matches_analytic_prediction():
     s = build_scenario()
     s = build_scenario(tau_rts_s=on_bin_tau_rts(s, 64))
-    r = range_dft(synthesize_beat(s))
+    r = range_spectrum(s)
     for i in range(2):
         for j in range(4):
             got = np.angle(r.peak_values[i, j])
@@ -96,28 +114,22 @@ def test_residual_video_term_size():
 def test_phase_without_if_term_when_frts_zero():
     s = build_scenario(f_rts_hz=0.0)
     s = build_scenario(f_rts_hz=0.0, tau_rts_s=on_bin_tau_rts(s, 16))
-    r = range_dft(synthesize_beat(s))
+    r = range_spectrum(s)
     got = np.angle(r.peak_values[0, 0])
     want = expected_bin_phase(s, 0, 0, f_r=16)  # f_rts term contributes 0
     assert abs(wrap_phase(got - want)) < 1e-6
 
 
 def test_equal_delay_elements_share_phase(boresight):
-    r = range_dft(synthesize_beat(boresight))
+    r = range_spectrum(boresight)
     ref = np.angle(r.peak_values[0, 0])
     for i in range(2):
         for j in range(4):
             assert np.angle(r.peak_values[i, j]) == ref
 
 
-def test_constant_cube_detects_dc():
-    ones = np.ones((2, 4, 256), dtype=complex)
-    b = BeatCube(samples=ones)
-    assert range_dft(b).peak_bin == 0
-
-
 def test_detected_bin_is_local_peak(baseline):
-    r = range_dft(synthesize_beat(baseline))
+    r = range_spectrum(baseline)
     k = r.peak_bin
     mag = np.abs(r.spectrum)
     for i in range(2):
@@ -126,24 +138,12 @@ def test_detected_bin_is_local_peak(baseline):
             assert mag[i, j, k] >= mag[i, j, k + 2]
 
 
-def test_parseval(baseline):
-    b = synthesize_beat(baseline)
-    for zp in (1, 2):
-        r = range_dft(b, zero_pad=zp)
-        n = r.spectrum.shape[-1]
-        for i in range(2):
-            for j in range(4):
-                lhs = np.sum(np.abs(b.samples[i, j]) ** 2)
-                rhs = np.sum(np.abs(r.spectrum[i, j]) ** 2) / n
-                assert abs(lhs - rhs) / lhs < 1e-10
-
-
 def test_shift_theorem_exact_bin_step():
     s = build_scenario()
     tau0 = on_bin_tau_rts(s, 8)
-    k0 = range_dft(synthesize_beat(build_scenario(tau_rts_s=tau0))).peak_bin
-    k1 = range_dft(synthesize_beat(
-        build_scenario(tau_rts_s=tau0 + 1.0 / s.chirp.b_hz))).peak_bin
+    k0 = range_spectrum(build_scenario(tau_rts_s=tau0)).peak_bin
+    k1 = range_spectrum(
+        build_scenario(tau_rts_s=tau0 + 1.0 / s.chirp.b_hz)).peak_bin
     assert k0 == 8
     assert k1 == 9
 
@@ -155,7 +155,7 @@ def test_inter_element_phase_gradient():
     s = build_scenario(theta_rx_deg=3.0, theta_tx_deg=5.0)
     s = build_scenario(theta_rx_deg=3.0, theta_tx_deg=5.0,
                        tau_rts_s=on_bin_tau_rts(s, 8))
-    r = range_dft(synthesize_beat(s))
+    r = range_spectrum(s)
     lam = s.wavelength_m
     ref = np.angle(r.peak_values[0, 0])
     for i in range(2):
@@ -169,10 +169,7 @@ def test_inter_element_phase_gradient():
 def test_zero_pad_scales_bin():
     s = build_scenario()
     s = build_scenario(tau_rts_s=on_bin_tau_rts(s, 8))
-    assert range_dft(synthesize_beat(s), zero_pad=2).peak_bin == 16
     assert range_spectrum(s, zero_pad=2).peak_bin == 16
-    with pytest.raises(ValueError, match="power of two"):
-        range_dft(synthesize_beat(s), zero_pad=3)
     with pytest.raises(ValueError, match=r"power of two \(got 3\)"):
         range_spectrum(s, zero_pad=3)
 
@@ -185,7 +182,7 @@ def test_bin_phase_frequency_scale(boresight):
 
 
 def test_csv_dumps(tmp_path, boresight):
-    r = range_dft(synthesize_beat(boresight))
+    r = range_spectrum(boresight)
     path = tmp_path / "range.csv"
     write_range_csv(r, path)
     with open(path, newline="") as fh:
@@ -201,20 +198,6 @@ def test_csv_dumps(tmp_path, boresight):
 def bits(a):
     """Raw IEEE bits of a float or complex array, so -0.0 differs from 0.0."""
     return np.ascontiguousarray(a).view(np.uint64)
-
-
-def reference_beat(s):
-    """synthesize_beat's cube as one expression with full-size temporaries."""
-    c, r = s.chirp, s.rts
-    tau_tx, tau_rx = element_delays(s)
-    tau_c = tau_tx + tau_rx
-    tau = tau_c + r.tau_rts_s
-    slope = c.b_hz / c.t_s
-    fbeat = slope * tau
-    t = np.arange(c.ns) * (c.t_s / c.ns)
-    const = c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s - (slope / 2.0) * tau**2
-    return r.amplitude * np.exp(1j * (2.0 * np.pi * (const[:, :, None]
-                                                     + fbeat[:, :, None] * t[None, None, :])))
 
 
 ORACLE_CASES = [
@@ -234,23 +217,11 @@ ORACLE_CASES = [
                          ids=[f"{a}x{b}-ns{n}-zp{z}" for a, b, n, z, _ in ORACLE_CASES])
 def test_chain_equals_full_size_expressions_bit_for_bit(ntx, nrx, ns, zero_pad, extra):
     s = build_scenario(ntx=ntx, nrx=nrx, ns=ns, **extra)
-    b = synthesize_beat(s)
-    assert np.array_equal(bits(b.samples), bits(reference_beat(s)))
-
     spec = np.fft.fft(reference_beat(s), n=ns * zero_pad, axis=-1)
     peak_bin = int(np.argmax(np.sum(np.abs(spec) ** 2, axis=(0, 1))))
-    for r in (range_dft(b, zero_pad=zero_pad), range_spectrum(s, zero_pad)):
-        assert np.array_equal(bits(r.spectrum), bits(spec))
-        assert r.peak_bin == peak_bin
-
-
-def test_range_dft_leaves_input_unchanged():
-    b = synthesize_beat(build_scenario(ntx=2, nrx=4, ns=1024, theta_tx_deg=3.0))
-    before = b.samples.copy()
-    for zero_pad in (1, 2, 4):
-        r = range_dft(b, zero_pad=zero_pad)
-        assert np.array_equal(bits(b.samples), bits(before))
-        assert not np.shares_memory(r.spectrum, b.samples)
+    r = range_spectrum(s, zero_pad)
+    assert np.array_equal(bits(r.spectrum), bits(spec))
+    assert r.peak_bin == peak_bin
 
 
 def traced_peak(fn, *args):
@@ -269,27 +240,11 @@ def traced_peak(fn, *args):
     return out, peak
 
 
-def test_synthesis_peak_memory_is_one_cube():
-    # The cube plus one element row of phase and samples; a real phase
-    # cube would add half a cube, and full-size temporaries 1.5 cubes.
-    s = build_scenario(ntx=4, nrx=16, ns=4096, theta_tx_deg=1.0)
-    b, peak = traced_peak(synthesize_beat, s)
-    assert peak <= 1.1 * b.samples.nbytes
-
-
 def test_range_spectrum_holds_no_beat_cube():
     # The spectrum plus one element row; a beat cube would add a whole
     # spectrum's worth at zero_pad 1.
     s = build_scenario(ntx=4, nrx=16, ns=4096, theta_tx_deg=1.0)
     r, peak = traced_peak(range_spectrum, s)
-    assert peak <= 1.1 * r.spectrum.nbytes
-
-
-def test_range_dft_allocates_only_its_spectrum():
-    # The spectrum plus one row of power; |spec|**2 summed over the whole
-    # spectrum allocates another half spectrum.
-    b = synthesize_beat(build_scenario(ntx=4, nrx=16, ns=4096, theta_tx_deg=1.0))
-    r, peak = traced_peak(range_dft, b)
     assert peak <= 1.1 * r.spectrum.nbytes
 
 
