@@ -23,6 +23,16 @@ def test_cube_shape_and_rate(baseline):
         assert r.spectrum.shape[-1] / zp / baseline.chirp.t_s == baseline.sample_rate_hz
 
 
+def test_sample_magnitude_equals_amplitude():
+    # The spectrum is an unwindowed DFT, so its inverse gives back the beat
+    # samples: Ns samples of magnitude A, then the zero pad.
+    s = build_scenario(amplitude=2.0, theta_tx_deg=1.0)
+    for zp in (1, 2):
+        samples = np.fft.ifft(range_spectrum(s, zp).spectrum, axis=-1)
+        assert np.allclose(np.abs(samples[..., :1024]), 2.0, rtol=1e-12, atol=0.0)
+        assert np.allclose(samples[..., 1024:], 0.0, rtol=0.0, atol=1e-12)
+
+
 def test_parseval():
     # Each element's beat row is Ns samples of magnitude A, so its
     # spectrum holds Ns*A^2 of energy, zero-padded or not.
