@@ -4,11 +4,24 @@ A header row of column names, then one row per element: float columns
 as "%.9g" formats them, every other column as str() writes it, comma
 separated and ended by "\n".  No cell is quoted, so a string cell that
 would need quoting is refused.
+
+Rows are formatted one block at a time.  A dump of more than one block
+is split across two processes where os.fork exists: a forked child
+formats the second half of the blocks into an anonymous temporary file
+in the output's directory and leaves through os._exit, while the parent
+writes the header and the first half, reaps the child and appends its
+bytes.  Both halves go through the same "%" row templates, so the file
+is byte for byte the one a single process writes.  The child only formats strings, writes its file
+and exits: it takes no lock that another thread (such as numpy's
+OpenBLAS workers) may hold, runs no atexit handler and flushes no stdio
+buffer.  Python 3.12 and later flag a fork of a threaded process with a
+DeprecationWarning, which the default filters hide outside __main__.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -25,27 +38,73 @@ def magnitude_db(mag) -> list[float]:
 
 
 def write_csv(path, columns: dict) -> None:
-    """Write equal-length columns, keyed by their header names, to path."""
-    cols = [np.asarray(c) for c in columns.values()]
-    if len({len(c) for c in cols}) > 1:
-        raise ValueError(f"columns of unequal length: {[len(c) for c in cols]}")
-    for name, c in zip(columns, cols):
-        if c.dtype.kind not in "biuf" and _UNSAFE & set("".join(map(str, c.tolist()))):
-            raise ValueError(f"column {name!r} has a cell with , \" \\r or \\n")
-    write_blocks(path, list(columns), len(cols[0]),
-                 lambda start, stop: [c[start:stop] for c in cols])
+    """Write columns, keyed by their header names, to path.
 
-
-def write_blocks(path, names: list[str], n_rows: int, block) -> None:
-    """Write n_rows rows under the header names to path.
-
-    block(start, stop) returns the columns of rows start to stop, one
-    array each, so no column need be held whole.  A column's format
-    follows its dtype, as in write_csv, which checks string cells.
+    A column is a sequence of one cell per row, or a scalar that fills
+    every row; the sequences must be of equal length.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            cols = block(start, min(start + _BLOCK_ROWS, n_rows))
-            row = ",".join("%.9g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
-            fh.write("".join(map(row.__mod__, zip(*(c.tolist() for c in cols)))))
+    cols = [np.asarray(c) for c in columns.values()]
+    lengths = [len(c) for c in cols if c.ndim]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns of unequal length: {lengths}")
+    for name, c in zip(columns, cols):
+        if c.dtype.kind not in "biuf" and _UNSAFE & set("".join(map(str, c.ravel().tolist()))):
+            raise ValueError(f"column {name!r} has a cell with , \" \\r or \\n")
+    n_rows = lengths[0] if lengths else 0
+    step = _BLOCK_ROWS
+    write_blocks(path, list(columns), -(-n_rows // step),
+                 lambda b: [c[b * step:(b + 1) * step] if c.ndim else c for c in cols])
+
+
+def write_blocks(path, names: list[str], n_blocks: int, block) -> None:
+    """Write blocks 0 to n_blocks - 1, in order, under the header names to path.
+
+    block(b) returns block b's columns, one per name: an array of one
+    cell per row of the block, or a scalar that fills that column of the
+    block.  At least one column of a block is an array.  A column's
+    format follows its dtype, as in write_csv, which checks string cells.
+    """
+    head = (",".join(names) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        if n_blocks < 2 or not hasattr(os, "fork"):
+            fh.write(head)
+            _rows(map(block, range(n_blocks)), fh.write)
+            return
+        import tempfile
+        half = n_blocks // 2
+        with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as tail:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    _rows(map(block, range(half, n_blocks)), tail.write)
+                    tail.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            try:
+                fh.write(head)
+                _rows(map(block, range(half)), fh.write)
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise OSError(f"the process writing the second half of {path} "
+                              f"exited with status {code}")
+            tail.seek(0)
+            while chunk := tail.read(1 << 16):
+                fh.write(chunk)
+
+
+def _rows(blocks, write) -> None:
+    """Format each block's rows and pass them to write as UTF-8 bytes."""
+    for block in blocks:
+        cells, arrays = [], []
+        for c in map(np.asarray, block):
+            fmt = "%.9g" if c.dtype.kind == "f" else "%s"
+            if c.ndim:
+                cells.append(fmt)
+                arrays.append(c.tolist())
+            else:
+                cells.append((fmt % c.item()).replace("%", "%%"))
+        row = ",".join(cells) + "\n"
+        write("".join(map(row.__mod__, zip(*arrays))).encode("utf-8"))

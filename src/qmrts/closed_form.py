@@ -141,4 +141,4 @@ def write_closed_form_csv(cf: ClosedFormSpectrum, path) -> None:
     write_csv(path, {"alpha_deg": np.degrees(cf.angles_rad),
                      "re": v.real, "im": v.imag,
                      "mag_db": magnitude_db(cf.magnitude),
-                     "mode": [cf.mode] * cf.angles_rad.size})
+                     "mode": cf.mode})

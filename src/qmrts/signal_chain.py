@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csvio
 from ._csvio import write_blocks
 from .propagation import element_delays
 from .scenario import Scenario
@@ -112,13 +113,19 @@ def bin_phase_frequency_scale(s: Scenario) -> float:
 def write_range_csv(r: RangeSpectrum, path) -> None:
     """Debug dump: columns ntx, nrx, n_or_k, re, im.
 
-    The index columns are made one block of rows at a time.
+    Each element's bins are written in blocks of rows: ntx and nrx fill
+    their columns as scalars and n_or_k is a slice of one bin range, so
+    no index column is made for the whole spectrum.
     """
-    shape = r.spectrum.shape
-    flat = r.spectrum.reshape(-1)
+    ntx, nrx, n = r.spectrum.shape
+    bins = np.arange(n)
+    step = _csvio._BLOCK_ROWS
+    per_row = -(-n // step)
 
-    def block(start: int, stop: int) -> list:
-        values = flat[start:stop]
-        return [*np.unravel_index(np.arange(start, stop), shape),
-                values.real, values.imag]
-    write_blocks(path, ["ntx", "nrx", "n_or_k", "re", "im"], flat.size, block)
+    def block(b: int) -> list:
+        element, part = divmod(b, per_row)
+        i, j = divmod(element, nrx)
+        cut = slice(part * step, (part + 1) * step)
+        row = r.spectrum[i, j, cut]
+        return [i, j, bins[cut], row.real, row.imag]
+    write_blocks(path, ["ntx", "nrx", "n_or_k", "re", "im"], ntx * nrx * per_row, block)

@@ -1,6 +1,8 @@
 import csv
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -169,6 +171,25 @@ def test_sweep_prints_near_field_warning(tmp_path, capsys):
     lib_csv = tmp_path / "lib.csv"
     emit_results(run_sweep(load_sweep_spec_file(path)), lib_csv)
     assert out_csv.read_bytes() == lib_csv.read_bytes()
+
+
+def test_simulate_prints_each_line_once_to_a_file(tmp_path):
+    # Redirected stdout is block-buffered, so a warning printed before the
+    # dumps still sits in the buffer when the CSV writer forks; the forked
+    # writer must not flush a copy of it.
+    cfg = tmp_path / "near.cfg"
+    cfg.write_text(BASELINE_CFG.replace("rc_m = 1.0", "rc_m = 0.05"))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    with open(tmp_path / "stdout.txt", "wb") as out:
+        proc = subprocess.run([sys.executable, "-m", "qmrts.cli", "simulate",
+                               str(cfg), str(tmp_path / "out")],
+                              stdout=out, stderr=subprocess.PIPE, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "stdout.txt").read_text().splitlines()
+    assert lines[0].startswith("warning: far-field condition violated")
+    assert any(line.startswith("detected_bin = ") for line in lines)
+    assert len(lines) == len(set(lines))
 
 
 def test_sweep_requires_section(cfg_path, tmp_path, capsys):

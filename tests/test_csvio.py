@@ -10,6 +10,7 @@ what its row template cannot express.
 import csv
 import io
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,11 @@ def reference_csv(columns: dict) -> bytes:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(columns)
+    cols = [np.asarray(c) for c in columns.values()]
+    n = max((len(c) for c in cols if c.ndim), default=0)
     cells = []
-    for c in map(np.asarray, columns.values()):
-        values = c.tolist()
+    for c in cols:
+        values = np.broadcast_to(c, n).tolist()
         cells.append([format(v, ".9g") for v in values] if c.dtype.kind == "f"
                      else values)
     w.writerows(zip(*cells))
@@ -79,13 +82,23 @@ def test_single_column_matches_reference(tmp_path):
 
 
 @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-                               2 * _BLOCK_ROWS + 1])
+                               2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7])
 def test_block_boundaries_match_reference(tmp_path, n):
     columns = {"k": np.arange(n), "re": random_doubles(n, n),
                "im": np.linspace(-1.0, 1.0, n), "mode": ["sinc"] * n}
     data = written(tmp_path, columns)
     assert data == reference_csv(columns)
     assert data.count(b"\n") == n + 1
+
+
+def test_scalar_columns_fill_every_row(tmp_path):
+    # Scalars go into each block's row template once; a "%" in one must
+    # come out as written.
+    n = 2 * _BLOCK_ROWS + 1
+    columns = {"k": np.arange(n), "gain": 1.0 / 3.0, "count": np.int64(-7),
+               "unit": "50%", "re": random_doubles(n, 4), "mode": "sinc"}
+    assert written(tmp_path, columns) == reference_csv(columns)
+    assert written(tmp_path, {"unit": "%s%%", "x": [1.5]}) == b"unit,x\n%s%%,1.5\n"
 
 
 def test_unequal_columns_rejected(tmp_path):
@@ -98,9 +111,55 @@ def test_unequal_columns_rejected(tmp_path):
 @pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "a\rb", "a\nb", ","])
 def test_cell_that_needs_quoting_rejected(tmp_path, cell):
     path = tmp_path / "t.csv"
-    with pytest.raises(ValueError, match="column 'subset'"):
-        write_csv(path, {"x": [1.0, 2.0], "subset": ["2x4", cell]})
-    assert not path.exists()
+    for subset in (["2x4", cell], cell):
+        with pytest.raises(ValueError, match="column 'subset'"):
+            write_csv(path, {"x": [1.0, 2.0], "subset": subset})
+        assert not path.exists()
+
+
+def failing_block(bad: int):
+    """Blocks of one float column, of which block bad raises."""
+    def block(b):
+        if b == bad:
+            raise RuntimeError(f"block {b} failed")
+        return [np.arange(10.0) + 10 * b]
+    return block
+
+
+def assert_no_child_and_no_stray_file(tmp_path):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+def test_failure_in_child_half_raises_in_parent(tmp_path):
+    with pytest.raises(OSError, match="second half .* exited with status 1"):
+        write_blocks(tmp_path / "t.csv", ["x"], 4, failing_block(3))
+    assert_no_child_and_no_stray_file(tmp_path)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+def test_failure_in_parent_half_propagates_and_reaps_child(tmp_path):
+    with pytest.raises(RuntimeError, match="block 0 failed"):
+        write_blocks(tmp_path / "t.csv", ["x"], 4, failing_block(0))
+    assert_no_child_and_no_stray_file(tmp_path)
+
+
+def test_one_block_is_written_without_fork(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a one-block dump forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    columns = {"k": np.arange(_BLOCK_ROWS), "mode": "sinc"}
+    assert written(tmp_path, columns) == reference_csv(columns)
+
+
+def test_without_fork_every_block_is_written_in_process(tmp_path, monkeypatch):
+    n = 3 * _BLOCK_ROWS + 7
+    columns = {"k": np.arange(n), "re": random_doubles(n, 5), "mode": "sinc"}
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert written(tmp_path, columns) == reference_csv(columns)
 
 
 SIMULATE_CASES = [name for name in CASES if name.startswith("simulate")]
@@ -119,11 +178,16 @@ def test_simulate_dumps_match_reference(name, tmp_path, monkeypatch, capsys):
         calls.append((path, columns))
         write_csv(path, columns)
 
-    def spy_blocks(path, names, n_rows, block):
+    def spy_blocks(path, names, n_blocks, block):
         # The range dump is written block by block; the reference gets
-        # its whole columns.
-        calls.append((path, dict(zip(names, block(0, n_rows)))))
-        write_blocks(path, names, n_rows, block)
+        # its whole columns, with each block's scalars broadcast.
+        whole = [[] for _ in names]
+        for cols in map(block, range(n_blocks)):
+            n = next(len(c) for c in cols if np.ndim(c))
+            for cells, c in zip(whole, cols):
+                cells.append(np.broadcast_to(c, n))
+        calls.append((path, dict(zip(names, map(np.concatenate, whole)))))
+        write_blocks(path, names, n_blocks, block)
 
     for module in (beamformer, closed_form):
         monkeypatch.setattr(module, "write_csv", spy)

@@ -260,15 +260,17 @@ def test_range_spectrum_holds_no_beat_cube():
 
 def test_range_csv_equals_whole_column_write(tmp_path):
     # The index columns of np.indices over the whole spectrum, written by
-    # the one CSV writer, give the same bytes.
-    s = build_scenario(ntx=2, nrx=3, ns=2048, theta_tx_deg=4.0)
-    r = range_spectrum(s, 2)
-    write_range_csv(r, tmp_path / "blocks.csv")
-    ntx, nrx, k = np.indices(r.spectrum.shape).reshape(3, -1)
-    flat = r.spectrum.reshape(-1)
-    write_csv(tmp_path / "whole.csv", {"ntx": ntx, "nrx": nrx, "n_or_k": k,
-                                       "re": flat.real, "im": flat.imag})
-    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    # the one CSV writer, give the same bytes.  Rows of 2000 and 5000
+    # bins are no multiple of the block size.
+    for ns in (2048, 1000, 2500):
+        s = build_scenario(ntx=2, nrx=3, ns=ns, theta_tx_deg=4.0)
+        r = range_spectrum(s, 2)
+        write_range_csv(r, tmp_path / "blocks.csv")
+        ntx, nrx, k = np.indices(r.spectrum.shape).reshape(3, -1)
+        flat = r.spectrum.reshape(-1)
+        write_csv(tmp_path / "whole.csv", {"ntx": ntx, "nrx": nrx, "n_or_k": k,
+                                           "re": flat.real, "im": flat.imag})
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_range_csv_allocates_far_less_than_index_columns(tmp_path, monkeypatch):
