@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _csvio
 from ._csvio import write_blocks
 from .propagation import element_delays
 from .scenario import Scenario
@@ -113,19 +112,12 @@ def bin_phase_frequency_scale(s: Scenario) -> float:
 def write_range_csv(r: RangeSpectrum, path) -> None:
     """Debug dump: columns ntx, nrx, n_or_k, re, im.
 
-    Each element's bins are written in blocks of rows: ntx and nrx fill
-    their columns as scalars and n_or_k is a slice of one bin range, so
-    no index column is made for the whole spectrum.
+    Each element's bins go to the writer as one segment: ntx and nrx are
+    scalars and n_or_k is one shared bin range, so no index column is
+    made for the whole spectrum.
     """
     ntx, nrx, n = r.spectrum.shape
     bins = np.arange(n)
-    step = _csvio._BLOCK_ROWS
-    per_row = -(-n // step)
-
-    def block(b: int) -> list:
-        element, part = divmod(b, per_row)
-        i, j = divmod(element, nrx)
-        cut = slice(part * step, (part + 1) * step)
-        row = r.spectrum[i, j, cut]
-        return [i, j, bins[cut], row.real, row.imag]
-    write_blocks(path, ["ntx", "nrx", "n_or_k", "re", "im"], ntx * nrx * per_row, block)
+    write_blocks(path, ["ntx", "nrx", "n_or_k", "re", "im"],
+                 ([i, j, bins, r.spectrum[i, j].real, r.spectrum[i, j].imag]
+                  for i in range(ntx) for j in range(nrx)))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qmrts import (beamform, cli, emit_results, load_sweep_spec_file, run_sweep,
+from qmrts import (_csvio, beamform, cli, emit_results, load_sweep_spec_file, run_sweep,
                    signal_chain)
 from qmrts.cli import main
 from qmrts.experiment import SweepSpec
@@ -190,6 +190,24 @@ def test_simulate_prints_each_line_once_to_a_file(tmp_path):
     assert lines[0].startswith("warning: far-field condition violated")
     assert any(line.startswith("detected_bin = ") for line in lines)
     assert len(lines) == len(set(lines))
+
+
+@pytest.mark.parametrize("half", ["parent", "child"])
+def test_dump_error_exits_2_from_either_half(cfg_path, tmp_path, capsys, monkeypatch, half):
+    # A formatting error in the forked writer's half reaches the command
+    # as itself, so the exit code does not depend on which half failed.
+    if half == "child" and not _csvio._can_split():
+        pytest.skip("the split needs os.fork and a second CPU")
+    parent, rows = os.getpid(), _csvio._rows
+
+    def failing_rows(blocks, write):
+        if (os.getpid() == parent) == (half == "parent"):
+            raise ValueError("a cell failed to format")
+        rows(blocks, write)
+
+    monkeypatch.setattr(_csvio, "_rows", failing_rows)
+    assert main(["simulate", str(cfg_path), str(tmp_path / "out")]) == 2
+    assert "error: a cell failed to format\n" in capsys.readouterr().err
 
 
 def test_sweep_requires_section(cfg_path, tmp_path, capsys):

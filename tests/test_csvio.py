@@ -8,9 +8,12 @@ what its row template cannot express.
 """
 
 import csv
+import errno
 import io
 import math
 import os
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ import pytest
 
 from golden.regen import CASES, write_configs
 from qmrts import beamformer, closed_form, signal_chain
-from qmrts._csvio import _BLOCK_ROWS, write_blocks, write_csv
+from qmrts._csvio import _BLOCK_ROWS, _can_split, write_blocks, write_csv
 from qmrts.cli import main
 
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
@@ -117,13 +120,30 @@ def test_cell_that_needs_quoting_rejected(tmp_path, cell):
         assert not path.exists()
 
 
-def failing_block(bad: int):
-    """Blocks of one float column, of which block bad raises."""
-    def block(b):
-        if b == bad:
-            raise RuntimeError(f"block {b} failed")
-        return [np.arange(10.0) + 10 * b]
-    return block
+class Cell:
+    """An object cell whose str() raises, or stalls 40 s the first time."""
+
+    def __init__(self, fails: bool):
+        self.fails = fails
+        self.stalled = False
+
+    def __str__(self):
+        if self.fails:
+            raise ValueError("a cell failed to format")
+        if not self.stalled:
+            self.stalled = True
+            time.sleep(40)
+        return "late"
+
+
+def segments(cells: dict) -> list:
+    """Four one-block segments of one column; segment b is ten of cells[b], if given."""
+    return [[np.full(10, cells[b]) if b in cells else np.arange(10.0) + 10 * b]
+            for b in range(4)]
+
+
+needs_split = pytest.mark.skipif(not _can_split(),
+                                 reason="the split needs os.fork and a second CPU")
 
 
 def assert_no_child_and_no_stray_file(tmp_path):
@@ -132,17 +152,22 @@ def assert_no_child_and_no_stray_file(tmp_path):
     assert os.listdir(tmp_path) == ["t.csv"]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+@needs_split
 def test_failure_in_child_half_raises_in_parent(tmp_path):
-    with pytest.raises(OSError, match="second half .* exited with status 1"):
-        write_blocks(tmp_path / "t.csv", ["x"], 4, failing_block(3))
+    # The child's exception comes back as itself, as it would in one process.
+    with pytest.raises(ValueError, match="a cell failed to format"):
+        write_blocks(tmp_path / "t.csv", ["x"], segments({3: Cell(True)}))
     assert_no_child_and_no_stray_file(tmp_path)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+@needs_split
 def test_failure_in_parent_half_propagates_and_reaps_child(tmp_path):
-    with pytest.raises(RuntimeError, match="block 0 failed"):
-        write_blocks(tmp_path / "t.csv", ["x"], 4, failing_block(0))
+    # The child's half stalls; the parent kills it rather than wait.
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="a cell failed to format"):
+        write_blocks(tmp_path / "t.csv", ["x"],
+                     segments({0: Cell(True), 3: Cell(False)}))
+    assert time.monotonic() - started < 20
     assert_no_child_and_no_stray_file(tmp_path)
 
 
@@ -155,11 +180,40 @@ def test_one_block_is_written_without_fork(tmp_path, monkeypatch):
     assert written(tmp_path, columns) == reference_csv(columns)
 
 
-def test_without_fork_every_block_is_written_in_process(tmp_path, monkeypatch):
+def fork_fails():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def fork_forbidden():
+    raise AssertionError("forked on one CPU")
+
+
+@pytest.mark.parametrize("case", ["no-fork", "fork-fails", "one-cpu"])
+def test_without_a_child_every_block_is_written_in_process(tmp_path, monkeypatch, case):
     n = 3 * _BLOCK_ROWS + 7
     columns = {"k": np.arange(n), "re": random_doubles(n, 5), "mode": "sinc"}
-    monkeypatch.delattr(os, "fork", raising=False)
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    elif case == "fork-fails":
+        monkeypatch.setattr(os, "fork", fork_fails, raising=False)
+    else:
+        monkeypatch.setattr(os, "fork", fork_forbidden, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert written(tmp_path, columns) == reference_csv(columns)
+
+
+@needs_split
+def test_child_reaped_elsewhere_is_written_in_process(tmp_path):
+    # With SIGCHLD ignored the kernel reaps the child, so its exit status
+    # is lost and the parent writes the second half itself.
+    n = 3 * _BLOCK_ROWS + 7
+    columns = {"k": np.arange(n), "re": random_doubles(n, 6), "mode": "sinc"}
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert written(tmp_path, columns) == reference_csv(columns)
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+    assert_no_child_and_no_stray_file(tmp_path)
 
 
 SIMULATE_CASES = [name for name in CASES if name.startswith("simulate")]
@@ -178,16 +232,14 @@ def test_simulate_dumps_match_reference(name, tmp_path, monkeypatch, capsys):
         calls.append((path, columns))
         write_csv(path, columns)
 
-    def spy_blocks(path, names, n_blocks, block):
-        # The range dump is written block by block; the reference gets
-        # its whole columns, with each block's scalars broadcast.
-        whole = [[] for _ in names]
-        for cols in map(block, range(n_blocks)):
-            n = next(len(c) for c in cols if np.ndim(c))
-            for cells, c in zip(whole, cols):
-                cells.append(np.broadcast_to(c, n))
-        calls.append((path, dict(zip(names, map(np.concatenate, whole)))))
-        write_blocks(path, names, n_blocks, block)
+    def spy_blocks(path, names, segments):
+        # The range dump is written one segment per element; the reference
+        # gets its whole columns, with each segment's scalars broadcast.
+        segments = list(segments)
+        whole = [[np.broadcast_to(c, next(len(a) for a in cols if np.ndim(a)))
+                  for c in cols] for cols in segments]
+        calls.append((path, dict(zip(names, map(np.concatenate, zip(*whole))))))
+        write_blocks(path, names, segments)
 
     for module in (beamformer, closed_form):
         monkeypatch.setattr(module, "write_csv", spy)
