@@ -18,7 +18,8 @@ __version__ = "0.1.0"
 from .scenario import (AngleGrid, ChirpConfig, ConfigError, RadarArrayConfig,
                        RtsChannelConfig, Scenario, ValidationError,
                        load_scenario, load_scenario_file)
-from .signal_chain import RangeSpectrum, bin_phase_frequency_scale, range_spectrum
+from .signal_chain import (RangeSpectrum, bin_phase_frequency_scale, range_peak,
+                           range_spectrum)
 from .beamformer import beamform
 from .closed_form import peak_separation_db, predicted_peak
 from .experiment import (AntennaSubset, emit_results, load_sweep_spec_file,
@@ -28,7 +29,7 @@ __all__ = [
     "AngleGrid", "ChirpConfig", "ConfigError", "RadarArrayConfig",
     "RtsChannelConfig", "Scenario", "ValidationError",
     "load_scenario", "load_scenario_file", "rts_displacement",
-    "RangeSpectrum", "bin_phase_frequency_scale", "range_spectrum",
+    "RangeSpectrum", "bin_phase_frequency_scale", "range_peak", "range_spectrum",
     "beamform",
     "peak_separation_db", "predicted_peak",
     "AntennaSubset", "emit_results", "load_sweep_spec_file", "run_sweep",

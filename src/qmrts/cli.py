@@ -22,7 +22,7 @@ from .experiment import (AntennaSubset, emit_results, load_sweep_spec,
 from .propagation import far_field_distance
 from .scenario import (ConfigError, Scenario, ValidationError, parse_config,
                        read_config_file, scenario_from_config)
-from .signal_chain import range_spectrum, write_range_csv
+from .signal_chain import range_peak, range_spectrum, write_range_csv
 
 # Pairwise detected-angle agreement gate for the exact model levels [deg].
 COMPARE_TOLERANCE_DEG = 0.02
@@ -129,7 +129,7 @@ def cmd_compare(args) -> int:
     for msg in warnings:
         print(f"warning: {msg}")
     sub = _subset(args.subset, s)
-    rsub, ssub = sub.apply(range_spectrum(s), s)
+    rsub, ssub = sub.apply(range_peak(s), s)
 
     full = math.degrees(beamform(rsub, ssub).peak_angle_rad)
     ideal = math.degrees(beamform(unit_phasor_spectrum(ssub), ssub).peak_angle_rad)

@@ -17,7 +17,7 @@ from .beamformer import beamform
 from .closed_form import predicted_peak
 from .scenario import (ConfigError, Scenario, ValidationError, config_section,
                        parse_config, read_config_file, scenario_from_config)
-from .signal_chain import RangeSpectrum, range_spectrum
+from .signal_chain import RangeSpectrum, range_peak
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ class AntennaSubset:
         the cut is equivalent to processing the same data with a smaller
         array.
         """
-        cut = RangeSpectrum(spectrum=r.spectrum[:self.ntx, :self.nrx],
-                            peak_bin=r.peak_bin)
+        cut = replace(r, spectrum=r.spectrum[:self.ntx, :self.nrx])
         array = replace(s.array, ntx=self.ntx, nrx=self.nrx)
         return cut, replace(s, array=array)
 
@@ -130,9 +129,9 @@ def displaced(s: Scenario, d_m: float, range_compensation: bool) -> Scenario:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Process every (displacement point x antenna subset).
 
-    Each point runs the full-array chain once; subsets are cut
-    from the same range spectrum, mirroring reprocessing of one recording
-    with different antenna selections.
+    Each point runs the full-array chain once (range_peak); subsets are
+    cut from the same range spectrum, mirroring reprocessing of one
+    recording with different antenna selections.
     """
     base = spec.base
     theta_rx = base.rts.theta_rx_rad
@@ -142,7 +141,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         try:
             point = displaced(base, d, spec.range_compensation)
             point.validate()  # raises on an invalid point
-            rspec = range_spectrum(point)
+            rspec = range_peak(point)
             for sub in spec.subsets:
                 rsub, ssub = sub.apply(rspec, point)
                 full_deg = math.degrees(beamform(rsub, ssub).peak_angle_rad)

@@ -361,11 +361,24 @@ def load_scenario(text: str) -> Scenario:
 
 
 def read_config_file(path) -> str:
-    """Text of a config file; a missing file is a ConfigError."""
+    """Text of a UTF-8 config file, without a leading byte-order mark.
+
+    A missing file, or one that is not UTF-8, is a ConfigError.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return path.read_text(encoding="utf-8")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.start counts from after a stripped byte-order mark.
+        offset = exc.start + len(data) - len(exc.object)
+        raise ConfigError(
+            f"config file {path} is not UTF-8: {exc.reason} at byte offset "
+            f"{offset} (0x{data[offset]:02x})") from None
+    # Universal newlines, as a file opened in text mode reads them.
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_scenario_file(path) -> Scenario:

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from qmrts import (_csvio, beamform, cli, emit_results, load_sweep_spec_file, run_sweep,
-                   signal_chain)
+from qmrts import (_csvio, beamform, cli, emit_results, experiment, load_sweep_spec_file,
+                   run_sweep, signal_chain)
 from qmrts.cli import main
 from qmrts.experiment import SweepSpec
 from conftest import BASELINE_CFG
@@ -78,6 +78,42 @@ def test_missing_config_file_exits_1(tmp_path, capsys, command):
     assert main([command, str(path), *out]) == 1
     assert capsys.readouterr().err == f"error: config file not found: {path}\n"
     assert not (tmp_path / "out").exists()
+
+
+def undecodable_config(tmp_path):
+    """A config file with one Latin-1 byte, and that byte's offset."""
+    path = tmp_path / "latin1.cfg"
+    data = BASELINE_CFG.replace("fc_hz = 77e9", "fc_hz = 77e9 ; caf\xe9").encode("latin-1")
+    path.write_bytes(data)
+    return path, data.index(b"\xe9")
+
+
+def test_validate_fails_on_an_undecodable_config(tmp_path, capsys):
+    path, offset = undecodable_config(tmp_path)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"fail: config file {path} is not UTF-8: invalid continuation byte "
+        f"at byte offset {offset} (0xe9)\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])
+def test_undecodable_config_exits_1(tmp_path, capsys, command):
+    path, offset = undecodable_config(tmp_path)
+    out = [str(tmp_path / "out")] if command != "compare" else []
+    assert main([command, str(path), *out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config file {path} is not UTF-8: invalid continuation byte "
+        f"at byte offset {offset} (0xe9)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_reads_past_a_byte_order_mark(cfg_path, tmp_path, capsys):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + cfg_path.read_bytes())
+    assert main(["validate", str(cfg_path)]) == 0
+    plain = capsys.readouterr().out
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == plain.replace(str(cfg_path), str(path))
 
 
 @pytest.mark.parametrize("command", ["compare", "simulate"])
@@ -283,6 +319,7 @@ def stop_after_load(monkeypatch):
     def stop(obj, *args, **kwargs):
         raise Loaded(obj)
     monkeypatch.setattr(cli, "range_spectrum", stop)
+    monkeypatch.setattr(cli, "range_peak", stop)
     monkeypatch.setattr(cli, "run_sweep", stop)
 
 
@@ -385,6 +422,33 @@ def test_subset_label_is_parsed_before_synthesis(cfg_path, tmp_path, monkeypatch
     assert 'subset "9x9" exceeds the array size 2x4' in capsys.readouterr().err
 
 
+def test_only_simulate_makes_the_whole_range_spectrum(cfg_path, sweep_cfg_path, tmp_path,
+                                                     monkeypatch, capsys):
+    # compare and sweep read only the detected bin, through range_peak;
+    # simulate dumps the whole spectrum, made once.
+    calls = []
+    chain = {name: getattr(signal_chain, name) for name in ("range_spectrum", "range_peak")}
+
+    def spy(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return chain[name](*args, **kwargs)
+        return call
+    for module in (cli, experiment, signal_chain):
+        for name in chain:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name))
+    runs = {"simulate": (["simulate", str(cfg_path), str(tmp_path / "out")],
+                         ["range_spectrum"]),
+            "compare": (["compare", str(cfg_path)], ["range_peak"]),
+            "sweep": (["sweep", str(sweep_cfg_path), str(tmp_path / "sweep.csv")],
+                      ["range_peak"] * 11)}
+    for argv, want in runs.values():
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == want, argv[0]
+
+
 # numpy's _ArrayMemoryError text for a cube that does not fit.
 NUMPY_OOM = ("Unable to allocate 32.0 GiB for an array with shape "
              "(4, 16, 67108864) and data type complex128")
@@ -396,6 +460,7 @@ def test_out_of_memory_exits_2_with_one_line(cfg_path, sweep_cfg_path, tmp_path,
     def oom(*args, **kwargs):
         raise MemoryError(NUMPY_OOM)
     monkeypatch.setattr(cli, "range_spectrum", oom)
+    monkeypatch.setattr(cli, "range_peak", oom)
     monkeypatch.setattr(cli, "run_sweep", oom)
     argv = {"simulate": ["simulate", str(cfg_path), str(tmp_path / "out")],
             "compare": ["compare", str(cfg_path)],

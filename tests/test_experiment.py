@@ -7,8 +7,8 @@ import pytest
 
 from qmrts import beamformer
 from qmrts import (AntennaSubset, ConfigError, ValidationError,
-                   bin_phase_frequency_scale, emit_results, rts_displacement,
-                   run_sweep)
+                   bin_phase_frequency_scale, emit_results, range_peak,
+                   rts_displacement, run_sweep)
 from qmrts.experiment import CSV_HEADER, SweepSpec, displaced, load_sweep_spec
 from conftest import build_scenario
 
@@ -123,6 +123,15 @@ def test_deviation_monotone_for_2x4():
             if r.subset == "2x4"]
     devs = [r.deviation_deg for r in rows]
     assert all(b >= a for a, b in zip(devs, devs[1:]))
+
+
+def test_subset_cut_keeps_the_bin_window(baseline):
+    r = range_peak(baseline)
+    cut, s = AntennaSubset(1, 4).apply(r, baseline)
+    assert cut.first_bin == r.first_bin > 0
+    assert cut.peak_bin == r.peak_bin
+    assert np.array_equal(cut.peak_values, r.peak_values[:1, :4])
+    assert (s.array.ntx, s.array.nrx) == (1, 4)
 
 
 def test_subset_deviation_ordering():

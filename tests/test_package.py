@@ -71,7 +71,7 @@ PUBLIC = {
     "AngleGrid", "ChirpConfig", "ConfigError", "RadarArrayConfig",
     "RtsChannelConfig", "Scenario", "ValidationError", "load_scenario",
     "load_scenario_file", "rts_displacement", "RangeSpectrum",
-    "bin_phase_frequency_scale", "range_spectrum",
+    "bin_phase_frequency_scale", "range_peak", "range_spectrum",
     "beamform",
     "peak_separation_db", "predicted_peak", "AntennaSubset", "emit_results",
     "load_sweep_spec_file", "run_sweep",

@@ -174,6 +174,45 @@ def test_file_loaders_name_a_missing_file(tmp_path, loader):
         loader(str(tmp_path))    # a directory is not a config file
 
 
+SWEEP_SECTION = """
+[sweep]
+d_max_m = 0.1
+points = 3
+subsets = 2x4
+range_compensation = true
+"""
+
+
+@pytest.mark.parametrize("loader", [load_scenario_file, load_sweep_spec_file])
+def test_file_loaders_skip_a_byte_order_mark(baseline_cfg, tmp_path, loader):
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(baseline_cfg + SWEEP_SECTION, encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert loader(bom) == loader(plain)
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("loader", [load_scenario_file, load_sweep_spec_file])
+def test_file_loaders_name_an_undecodable_byte(baseline_cfg, tmp_path, loader, mark):
+    # The offset counts from the start of the file, byte-order mark included.
+    path = tmp_path / "latin1.cfg"
+    text = baseline_cfg.replace("b_hz = 1e9", "b_hz = 1e9 ; \xff") + SWEEP_SECTION
+    data = mark + text.encode("latin-1")
+    path.write_bytes(data)
+    offset = data.index(b"\xff")
+    want = (f"config file {re.escape(str(path))} is not UTF-8: invalid start byte "
+            f"at byte offset {offset} \\(0xff\\)$")
+    with pytest.raises(ConfigError, match=want):
+        loader(path)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_file_loaders_read_any_newline(baseline_cfg, tmp_path, newline):
+    path = tmp_path / "newline.cfg"
+    path.write_bytes(baseline_cfg.replace("\n", newline).encode())
+    assert load_scenario_file(path) == load_scenario(baseline_cfg)
+
+
 def test_file_loaders_read_the_file(baseline_cfg, tmp_path):
     path = tmp_path / "base.cfg"
     path.write_text(baseline_cfg + "\n[sweep]\n", encoding="utf-8")

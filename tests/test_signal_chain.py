@@ -5,11 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qmrts import bin_phase_frequency_scale, range_spectrum
-from qmrts import _csvio
+from qmrts import bin_phase_frequency_scale, range_peak, range_spectrum
+from qmrts import _csvio, signal_chain
 from qmrts._csvio import write_csv
-from qmrts.signal_chain import write_range_csv
+from qmrts.propagation import C0
+from qmrts.signal_chain import PEAK_MARGIN_BINS, write_range_csv
 from conftest import (build_scenario, expected_bin_phase, on_bin_tau_rts,
                       reference_beat, wrap_phase)
 
@@ -234,6 +236,76 @@ def test_chain_equals_full_size_expressions_bit_for_bit(ntx, nrx, ns, zero_pad, 
     assert r.peak_bin == peak_bin
 
 
+def assert_same_peak(got, want):
+    """got's detected bin and peak values are want's, bit for bit."""
+    assert got.peak_bin == want.peak_bin
+    assert np.array_equal(bits(got.peak_values), bits(want.peak_values))
+
+
+@pytest.mark.parametrize("ntx, nrx, ns, zero_pad, extra", ORACLE_CASES,
+                         ids=[f"{a}x{b}-ns{n}-zp{z}" for a, b, n, z, _ in ORACLE_CASES])
+def test_range_peak_equals_range_spectrum_bit_for_bit(ntx, nrx, ns, zero_pad, extra):
+    s = build_scenario(ntx=ntx, nrx=nrx, ns=ns, **extra)
+    r = range_peak(s)
+    assert_same_peak(r, range_spectrum(s))
+    # A window of bins, not a second whole spectrum.
+    assert r.spectrum.shape[:2] == (ntx, nrx)
+    assert r.spectrum.shape[-1] <= 2 * PEAK_MARGIN_BINS + 2
+
+
+@st.composite
+def chains(draw):
+    """Boards, angles, rc_m and tau_rts_s whose beat tones stay below 90%
+    of the Nyquist bin."""
+    ns = draw(st.sampled_from([16, 64, 256, 1024]))
+    budget_s = 0.9 * ns / 2 / 1e9       # delay of that bin at B = 1 GHz
+    rc_m = draw(st.floats(0.2, min(10.0, 0.2 * budget_s * C0)))
+    return dict(ntx=draw(st.integers(1, 4)), nrx=draw(st.integers(1, 16)), ns=ns,
+                theta_rx_deg=draw(st.floats(-60.0, 60.0)),
+                theta_tx_deg=draw(st.floats(-60.0, 60.0)),
+                rc_m=rc_m, tau_rts_s=draw(st.floats(0.0, 0.5 * budget_s)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(chains())
+def test_range_peak_equals_range_spectrum_property(kwargs):
+    s = build_scenario(**kwargs)
+    assert_same_peak(range_peak(s), range_spectrum(s))
+
+
+def test_range_peak_falls_back_when_the_window_misses(boresight, monkeypatch):
+    # The boresight tone peaks at bin 7; a window of bins 0-2 misses it,
+    # so the whole spectrum is made in a second pass.
+    calls = []
+
+    def spy(s, zero_pad=1):
+        calls.append((s, zero_pad))
+        return range_spectrum(s, zero_pad)
+    monkeypatch.setattr(signal_chain, "_peak_window", lambda s, fbeat: (0, 3))
+    monkeypatch.setattr(signal_chain, "range_spectrum", spy)
+    r = range_peak(boresight)
+    assert calls == [(boresight, 1)]
+    want = range_spectrum(boresight)
+    assert_same_peak(r, want)
+    assert r.first_bin == 0
+    assert np.array_equal(bits(r.spectrum), bits(want.spectrum))
+
+
+def test_csv_dump_of_a_window_writes_absolute_bins(tmp_path, baseline):
+    r = range_peak(baseline)
+    lo, width = r.first_bin, r.spectrum.shape[-1]
+    assert lo > 0
+    write_range_csv(r, tmp_path / "window.csv")
+    write_range_csv(range_spectrum(baseline), tmp_path / "whole.csv")
+    with open(tmp_path / "window.csv", newline="") as fh:
+        window = list(csv.reader(fh))
+    with open(tmp_path / "whole.csv", newline="") as fh:
+        whole = list(csv.reader(fh))
+    # The whole dump's lines at the window's bins, in the same order.
+    assert window == whole[:1] + [row for row in whole[1:]
+                                  if lo <= int(row[2]) < lo + width]
+
+
 def traced_peak(fn, *args):
     """fn(*args) and the peak of the memory it allocated, per tracemalloc.
 
@@ -256,6 +328,15 @@ def test_range_spectrum_holds_no_beat_cube():
     s = build_scenario(ntx=4, nrx=16, ns=4096, theta_tx_deg=1.0)
     r, peak = traced_peak(range_spectrum, s)
     assert peak <= 1.1 * r.spectrum.nbytes
+
+
+def test_range_peak_holds_a_few_rows_whatever_the_element_count():
+    # The row buffers, the two power sums and the FFT's own work buffer; the
+    # 4x16 board's spectrum would be 64 rows.
+    for ntx, nrx in ((1, 1), (4, 16)):
+        s = build_scenario(ntx=ntx, nrx=nrx, ns=4096, theta_tx_deg=1.0)
+        _, peak = traced_peak(range_peak, s)
+        assert peak <= 8 * 16 * 4096, (ntx, nrx)
 
 
 def test_range_csv_equals_whole_column_write(tmp_path):
