@@ -150,15 +150,18 @@ def _reap(pid):
 
 
 def _child_error(payload: bytes, status: int, path) -> BaseException:
-    """The exception a failed child pickled, or an OSError naming its status."""
+    """The exception a failed child pickled, or an OSError naming how it ended."""
+    import signal
+
     try:
         exc = pickle.loads(payload)
     except Exception:
         exc = None
     if isinstance(exc, BaseException):
         return exc
-    return OSError(f"the process writing the second half of {path} "
-                   f"exited with status {status}")
+    how = (f"exited with status {status}" if status > 0 else
+           f"was killed by signal {-status} ({signal.strsignal(-status)})")
+    return OSError(f"the process writing the second half of {path} {how}")
 
 
 def _rows(blocks, write) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -111,8 +110,6 @@ def cmd_sweep(args) -> int:
     spec = load_sweep_spec(read_config_file(args.config))
     for msg in spec.base.validate():
         print(f"warning: {msg}")
-    if args.no_range_compensation:
-        spec = replace(spec, range_compensation=False)
     rows = run_sweep(spec)
     emit_results(rows, args.out_csv)
     print(f"wrote {args.out_csv} ({len(rows)} rows)")
@@ -193,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="displacement sweep to CSV")
     sw.add_argument("config", help="config file with a [sweep] section")
     sw.add_argument("out_csv", help="output CSV path")
-    sw.add_argument("--no-range-compensation", action="store_true",
-                    help="ignore the moved transmitter's extra path length")
     sw.set_defaults(func=cmd_sweep)
 
     cmp_ = sub.add_parser("compare", help="detected angle at all model levels")

@@ -1,10 +1,10 @@
 """Displacement sweep: detected-angle deviation vs RTS antenna separation.
 
 Reproduces the lateral-transmitter-motion experiment in simulation: the
-receiver stays fixed at theta_rx while the transmitter slides sideways,
-and every displacement point is processed through the full time-domain
-chain and the analytic (dirichlet) predictor for several antenna
-selections.
+receiver stays fixed at theta_rx while the transmitter moves along the
+arc of radius rc_m to sin(theta_tx) = sin(theta_rx) + d/rc_m, and every
+displacement point is processed through the full time-domain chain and
+the analytic (dirichlet) predictor for several antenna selections.
 """
 
 from __future__ import annotations

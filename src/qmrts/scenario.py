@@ -8,7 +8,6 @@ spacings in wavelengths; both are resolved at load time.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +67,9 @@ class RadarArrayConfig:
 @dataclass(frozen=True)
 class RtsChannelConfig:
     """Geometry and signal modification of one target-simulator channel.
+
+    rc_m, theta_rx and theta_tx are taken from element 0 of the radar's TX
+    and RX arrays, the plane-wave reference of element_delays.
 
     ``extra_return_path_m`` is an additional one-way path length on the
     return leg (transmitter moved away from the nominal arc), used by the
@@ -253,6 +255,19 @@ _SCHEMA = {
 }
 
 
+def _parse_error(exc: configparser.Error) -> ConfigError:
+    """exc as one line: the line number and what is wrong there."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        line, what = exc.lineno, f'key "{exc.option}" given twice in [{exc.section}]'
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        line, what = exc.lineno, f"section [{exc.section}] given twice"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        line, what = exc.lineno, "text before the first section header"
+    else:  # ParsingError; it lists every bad line, the first is named
+        line, what = exc.errors[0][0], 'not a section header or "key = value"'
+    return ConfigError(f"config parse error at line {line}: {what}")
+
+
 def parse_config(text: str) -> dict[str, dict[str, object]]:
     """Parse and schema-check a config document into typed section dicts.
 
@@ -265,7 +280,7 @@ def parse_config(text: str) -> dict[str, dict[str, object]]:
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
+        raise _parse_error(exc) from exc
 
     out: dict[str, dict[str, object]] = {}
     for section in cp.sections():
@@ -383,57 +398,4 @@ def read_config_file(path) -> str:
 
 def load_scenario_file(path) -> Scenario:
     return load_scenario(read_config_file(path))
-
-
-def _degrees_exact(theta_rad: float) -> float:
-    """Degree value whose radians() reproduces theta_rad bit-exactly.
-
-    degrees/radians are not exact inverses in floating point; scan a few
-    ulps around the nominal conversion so a loaded scenario round-trips
-    field-identically through emit_scenario.
-    """
-    base = math.degrees(theta_rad)
-    if math.radians(base) == theta_rad:
-        return base
-    lo = hi = base
-    for _ in range(8):
-        lo = math.nextafter(lo, -math.inf)
-        hi = math.nextafter(hi, math.inf)
-        if math.radians(hi) == theta_rad:
-            return hi
-        if math.radians(lo) == theta_rad:
-            return lo
-    return base
-
-
-def emit_scenario(s: Scenario) -> str:
-    """Serialize a Scenario back to the config-document format.
-
-    load_scenario(emit_scenario(s)) reproduces s field-identically
-    (extra_return_path_m is programmatic only and not persisted).
-    """
-    c, a, r, g = s.chirp, s.array, s.rts, s.grid
-    buf = io.StringIO()
-    buf.write("[chirp]\n")
-    buf.write(f"fc_hz = {c.fc_hz!r}\n")
-    buf.write(f"b_hz = {c.b_hz!r}\n")
-    buf.write(f"t_s = {c.t_s!r}\n")
-    buf.write(f"ns = {c.ns}\n\n")
-    buf.write("[array]\n")
-    buf.write(f"ntx = {a.ntx}\n")
-    buf.write(f"nrx = {a.nrx}\n")
-    buf.write(f"dtx_m = {a.dtx_m!r}\n")
-    buf.write(f"drx_m = {a.drx_m!r}\n\n")
-    buf.write("[rts]\n")
-    buf.write(f"rc_m = {r.rc_m!r}\n")
-    buf.write(f"theta_rx_deg = {_degrees_exact(r.theta_rx_rad)!r}\n")
-    buf.write(f"theta_tx_deg = {_degrees_exact(r.theta_tx_rad)!r}\n")
-    buf.write(f"tau_rts_s = {r.tau_rts_s!r}\n")
-    buf.write(f"f_rts_hz = {r.f_rts_hz!r}\n")
-    buf.write(f"amplitude = {r.amplitude!r}\n\n")
-    buf.write("[grid]\n")
-    buf.write(f"angle_min_deg = {_degrees_exact(g.min_rad)!r}\n")
-    buf.write(f"angle_max_deg = {_degrees_exact(g.max_rad)!r}\n")
-    buf.write(f"angle_step_deg = {_degrees_exact(g.step_rad)!r}\n")
-    return buf.getvalue()
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from qmrts import (AngleGrid, AntennaSubset, ConfigError, beamform,
                    predicted_peak, range_spectrum)
-from qmrts.beamformer import (COARSE_STRIDE, _coarse_to_fine, _peak,
-                              unit_phasor_spectrum, write_angle_csv)
+from qmrts.beamformer import (COARSE_STRIDE, _coarse_to_fine, _parabolic_vertex,
+                              _peak, unit_phasor_spectrum, write_angle_csv)
 from conftest import build_scenario, on_bin_tau_rts
 
 DEG = math.degrees
@@ -76,6 +76,11 @@ def test_degenerate_single_rx_tracks_receiver():
 def test_refine_symmetric_triple_is_exact():
     angles = np.radians(np.array([-0.01, 0.0, 0.01]))
     assert _peak(angles, np.array([0.5, 1.0, 0.5])) == (1, 0.0)
+
+
+def test_flat_triple_falls_back_to_middle_point():
+    x = np.array([0.1, 0.2, 0.35])
+    assert _parabolic_vertex(x, np.array([1.0, 1.0, 1.0])) == 0.2
 
 
 def test_peak_on_grid_edge_falls_back_to_grid_angle():

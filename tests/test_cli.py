@@ -116,6 +116,32 @@ def test_validate_reads_past_a_byte_order_mark(cfg_path, tmp_path, capsys):
     assert capsys.readouterr().out == plain.replace(str(cfg_path), str(path))
 
 
+BROKEN_CONFIGS = {
+    "duplicate-key": (BASELINE_CFG.replace("ntx = 2\n", "ntx = 2\nntx = 2\n"),
+                      'config parse error at line 9: key "ntx" given twice in [array]'),
+    "duplicate-section": (BASELINE_CFG + "[grid]\n",
+                          "config parse error at line 25: section [grid] given twice"),
+    "no-section-header": ("ntx = 2\n" + BASELINE_CFG,
+                          "config parse error at line 1: text before the first section header"),
+    "bad-lines": (BASELINE_CFG.replace("ns = 1024\n", "ns = 1024\nns\n")
+                  .replace("nrx = 4\n", "nrx = 4\nnrx\n"),
+                  'config parse error at line 6: not a section header or "key = value"'),
+    "no-rts-section": (BASELINE_CFG[:BASELINE_CFG.index("[rts]")]
+                       + BASELINE_CFG[BASELINE_CFG.index("[grid]"):],
+                       "missing section [rts]"),
+}
+
+
+@pytest.mark.parametrize("command, prefix", [("validate", "fail"), ("compare", "error")])
+@pytest.mark.parametrize("case", list(BROKEN_CONFIGS))
+def test_broken_config_is_named_on_one_line(tmp_path, capsys, case, command, prefix):
+    text, reason = BROKEN_CONFIGS[case]
+    path = tmp_path / "broken.cfg"
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == f"{prefix}: {reason}\n"
+
+
 @pytest.mark.parametrize("command", ["compare", "simulate"])
 def test_grid_step_override_must_divide_span(cfg_path, tmp_path, capsys, command):
     out = [str(tmp_path / "out")] if command == "simulate" else []
@@ -185,11 +211,18 @@ def test_sweep_csv_and_summary(sweep_cfg_path, tmp_path, capsys):
             assert float(rec[6]) == pytest.approx(want, abs=0.05)
 
 
-def test_sweep_no_range_compensation(sweep_cfg_path, tmp_path):
+def test_sweep_no_range_compensation(sweep_cfg_path, tmp_path, capsys):
+    # The [sweep] key is the one switch; the command takes no flag for it.
     out_csv = tmp_path / "sweep.csv"
-    assert main(["sweep", str(sweep_cfg_path), str(out_csv),
-                 "--no-range-compensation"]) == 0
+    with pytest.raises(SystemExit):
+        main(["sweep", str(sweep_cfg_path), str(out_csv), "--no-range-compensation"])
+    assert "--no-range-compensation" in capsys.readouterr().err
+    text = sweep_cfg_path.read_text()
+    sweep_cfg_path.write_text(text.replace("range_compensation = true",
+                                           "range_compensation = false"))
+    assert main(["sweep", str(sweep_cfg_path), str(out_csv)]) == 0
     lines = out_csv.read_text().splitlines()
+    assert len(lines) == 1 + 33
     assert all(line.endswith(",false") for line in lines[1:])
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from golden.regen import CASES, write_configs
-from qmrts import beamformer, closed_form, signal_chain
+from qmrts import _csvio, beamformer, closed_form, signal_chain
 from qmrts._csvio import _BLOCK_ROWS, _can_split, write_blocks, write_csv
 from qmrts.cli import main
 
@@ -169,6 +169,36 @@ def test_failure_in_parent_half_propagates_and_reaps_child(tmp_path):
                      segments({0: Cell(True), 3: Cell(False)}))
     assert time.monotonic() - started < 20
     assert_no_child_and_no_stray_file(tmp_path)
+
+
+@needs_split
+def test_child_killed_by_a_signal_is_named(tmp_path, monkeypatch):
+    # A child that dies before it can pickle an exception leaves only its
+    # wait status; the OSError names the signal, not a negative status.
+    parent, rows = os.getpid(), _csvio._rows
+
+    def killed_rows(blocks, write):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        rows(blocks, write)
+
+    monkeypatch.setattr(_csvio, "_rows", killed_rows)
+    path = tmp_path / "t.csv"
+    with pytest.raises(OSError) as info:
+        write_blocks(path, ["x"], segments({}))
+    assert str(info.value) == (
+        f"the process writing the second half of {path} was killed by "
+        f"signal {int(signal.SIGKILL)} ({signal.strsignal(signal.SIGKILL)})")
+    assert_no_child_and_no_stray_file(tmp_path)
+
+
+@pytest.mark.parametrize("cpus, split", [(1, False), (None, False), (2, True)])
+def test_can_split_without_affinity_counts_cpus(monkeypatch, cpus, split):
+    # Where the affinity mask is unknown (macOS), every CPU counts.
+    monkeypatch.setattr(os, "fork", lambda: 0, raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert _can_split() is split
 
 
 def test_one_block_is_written_without_fork(tmp_path, monkeypatch):

@@ -86,7 +86,7 @@ def test_public_api_is_pinned():
 
 
 def test_removed_api_is_gone():
-    from qmrts import beamformer, cli, closed_form, experiment, signal_chain
+    from qmrts import beamformer, cli, closed_form, experiment, scenario, signal_chain
     for name, module in (("refine_peak", beamformer),
                          ("PeakAtBoundaryError", beamformer),
                          ("ambiguous_peak", closed_form),
@@ -106,7 +106,9 @@ def test_removed_api_is_gone():
                          ("range_dft", signal_chain),
                          ("BeatCube", signal_chain),
                          ("_beat_rows", signal_chain),
-                         ("_detect", signal_chain)):
+                         ("_detect", signal_chain),
+                         ("emit_scenario", scenario),
+                         ("_degrees_exact", scenario)):
         assert not hasattr(qmrts, name), name
         assert not hasattr(module, name), name
     assert cli.AMBIGUITY_GAP_DB == 6.0

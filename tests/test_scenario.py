@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qmrts import (AngleGrid, ConfigError, ValidationError, load_scenario,
                    load_scenario_file, load_sweep_spec_file, rts_displacement)
 from qmrts.experiment import load_sweep_spec
-from qmrts.scenario import _SCHEMA, REQUIRED, emit_scenario
+from qmrts.scenario import _SCHEMA, REQUIRED
 from qmrts.propagation import C0
 from qmrts.cli import main
 from conftest import build_scenario
@@ -220,38 +220,6 @@ def test_file_loaders_read_the_file(baseline_cfg, tmp_path):
     assert load_sweep_spec_file(str(path)) == load_sweep_spec(path.read_text())
 
 
-def test_emit_round_trips_field_identical(baseline_cfg):
-    s = load_scenario(baseline_cfg)
-    assert load_scenario(emit_scenario(s)) == s
-
-
-def test_emit_round_trip_fuzzed():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        text = f"""
-[chirp]
-fc_hz = {rng.uniform(10e9, 100e9)!r}
-b_hz = {rng.uniform(1e8, 2e9)!r}
-ns = {int(rng.integers(512, 4097))}
-
-[array]
-ntx = {int(rng.integers(1, 5))}
-nrx = {int(rng.integers(1, 5))}
-dtx_lambda = {rng.uniform(0.3, 3.0)!r}
-drx_lambda = {rng.uniform(0.3, 3.0)!r}
-
-[rts]
-rc_m = {rng.uniform(0.5, 3.0)!r}
-theta_rx_deg = {rng.uniform(-89, 89)!r}
-theta_tx_deg = {rng.uniform(-89, 89)!r}
-tau_rts_s = {rng.uniform(0, 5e-8)!r}
-f_rts_hz = {rng.uniform(0, 1e9)!r}
-amplitude = {rng.uniform(0.1, 10)!r}
-"""
-        s = load_scenario(text)
-        assert load_scenario(emit_scenario(s)) == s
-
-
 FLOAT_KEYS = ("fc_hz", "b_hz", "t_s", "dtx_lambda", "drx_lambda", "rc_m",
               "theta_rx_deg", "theta_tx_deg", "tau_rts_s", "f_rts_hz",
               "amplitude", "angle_min_deg", "angle_max_deg", "angle_step_deg")
@@ -297,12 +265,14 @@ angle_step_deg = {step!r}
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(scenario_configs())
-def test_emit_round_trip_property(text):
+def test_valid_range_config_is_loaded_or_rejected(text):
+    # Every key lies in its valid range, so only a scenario invariant
+    # (a beat tone past Nyquist, say) may refuse the document.
     try:
         s = load_scenario(text)
     except ValidationError:
-        return  # e.g. a beat tone past Nyquist: no scenario to round-trip
-    assert load_scenario(emit_scenario(s)) == s
+        return
+    assert isinstance(s.validate(), list)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
