@@ -144,14 +144,6 @@ class Scenario:
     def sample_rate_hz(self) -> float:
         return self.chirp.sample_rate_hz
 
-    def max_total_delay_s(self) -> float:
-        """Largest per-element total delay in this scenario."""
-        tau_tx, tau_rx = element_delays(self)
-        return float(tau_tx.max()) + float(tau_rx.max()) + self.rts.tau_rts_s
-
-    def max_beat_frequency_hz(self) -> float:
-        return (self.chirp.b_hz / self.chirp.t_s) * self.max_total_delay_s()
-
     def validate(self) -> list[str]:
         """Check all invariants.
 
@@ -208,13 +200,7 @@ class Scenario:
             raise ValidationError(
                 f"angle_step_deg = {math.degrees(g.step_rad):.9g} does not divide "
                 f"the angle span of {math.degrees(g.max_rad - g.min_rad):.9g} deg")
-
-        fs = self.sample_rate_hz
-        fb = self.max_beat_frequency_hz()
-        if not fs > 2.0 * fb:
-            raise ValidationError(
-                f"sample rate {fs:.6g} Hz does not exceed twice the maximum beat "
-                f"frequency {fb:.6g} Hz; increase ns or reduce delays")
+        beat_frequencies_hz(self)  # the Nyquist check
 
         warnings = []
         ff = far_field_distance(self)
@@ -223,6 +209,21 @@ class Scenario:
                 f"far-field condition violated: rc_m = {r.rc_m:.6g} m is below "
                 f"2*D^2/lambda = {ff:.6g} m")
         return warnings
+
+
+def beat_frequencies_hz(s: Scenario) -> np.ndarray:
+    """Beat tone (B/T)*(tau_tx + tau_rx + tau_rts) of every virtual element,
+    (Ntx, Nrx) [Hz].  The one Nyquist check: raises ValidationError if the
+    largest tone reaches half the sample rate, a NaN delay included."""
+    c = s.chirp
+    tau_tx, tau_rx = element_delays(s)
+    fbeat = (c.b_hz / c.t_s) * (tau_tx + tau_rx + s.rts.tau_rts_s)
+    fs, fb = s.sample_rate_hz, np.max(fbeat)
+    if not fb < fs / 2.0:
+        raise ValidationError(
+            f"sample rate {fs:.6g} Hz does not exceed twice the maximum beat frequency "
+            f"{fb:.6g} Hz (Nyquist); increase ns or reduce delays")
+    return fbeat
 
 
 REQUIRED = object()   # default of a key the config must give

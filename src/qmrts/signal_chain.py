@@ -25,7 +25,7 @@ import numpy as np
 
 from ._csvio import write_blocks
 from .propagation import element_delays
-from .scenario import Scenario
+from .scenario import Scenario, beat_frequencies_hz
 
 # Bins kept by range_peak on each side of the elements' beat bins B*tau.
 # The power-sum peak of an unaliased tone lies within one bin of B*tau.
@@ -55,25 +55,17 @@ class RangeSpectrum:
 def _checked_tones(s: Scenario, zero_pad: int):
     """Each element's beat frequency and phase constant, and the DFT length.
 
-    Checks zero_pad before the element delays are computed, and the
-    Nyquist bound before anything is allocated.
+    Checks zero_pad, then the Nyquist bound, before anything is allocated.
     """
     if zero_pad < 1 or zero_pad & (zero_pad - 1):
         raise ValueError(f"zero_pad must be a power of two (got {zero_pad})")
+    fbeat = beat_frequencies_hz(s)
     c, r = s.chirp, s.rts
-    fs = s.sample_rate_hz
-
     tau_tx, tau_rx = element_delays(s)
     tau_c = tau_tx + tau_rx
     tau = tau_c + r.tau_rts_s
-
-    slope = c.b_hz / c.t_s
-    fbeat = slope * tau
-    if not np.max(fbeat) < fs / 2.0:
-        raise ValueError(
-            f"Nyquist violation: beat frequency {np.max(fbeat):.6g} Hz >= "
-            f"fs/2 = {fs / 2.0:.6g} Hz")
-    const = c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s - (slope / 2.0) * tau**2
+    const = (c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s
+             - (c.b_hz / c.t_s / 2.0) * tau**2)
     return fbeat, const, c.ns * zero_pad
 
 
@@ -119,7 +111,7 @@ def range_spectrum(s: Scenario, zero_pad: int = 1) -> RangeSpectrum:
     expected peak bin is round(B*tau*zero_pad) for an unaliased tone.
 
     zero_pad must be a power of two, and is checked before anything is
-    synthesized.  Raises ValueError if any element's beat frequency
+    synthesized.  Raises ValidationError if any element's beat frequency
     reaches half the sample rate.  The detection power is
     sum(|spec|^2, axis=(0, 1)), summed as the rows are made, so only one
     row of power is alive at a time.
@@ -167,9 +159,12 @@ def range_peak(s: Scenario) -> RangeSpectrum:
 def bin_phase_frequency_scale(s: Scenario) -> float:
     """Ratio of the detected-bin phase-gradient frequency to fc.
 
-    The DFT bin phase advances with the element delay at the mid-sweep
-    frequency fc + B*(Ns-1)/(2*Ns), not at fc, so detected angles exceed
-    the start-frequency prediction by about this factor in sin(alpha).
+    Element e's row A*exp(j*2*pi*(c_e + f_e*n*T/Ns)), f_e = (B/T)*tau_e, sums
+    at bin k of N points to A*exp(j*2*pi*[c_e + (Ns-1)*x_e/2]) times the
+    real kernel sin(pi*Ns*x_e)/sin(pi*x_e), x_e = f_e*T/Ns - k/N.  With
+    the delay, (Ns-1)*x_e/2 grows at B*(Ns-1)/(2*Ns) and c_e at fc, less a
+    residual video (B/T)*tau_e under 1e-6 of fc here.  So detected angles
+    exceed the start-frequency prediction by about this factor in sin(alpha).
     """
     c = s.chirp
     return 1.0 + c.b_hz * (c.ns - 1) / (2.0 * c.fc_hz * c.ns)

@@ -6,6 +6,9 @@ import pytest
 from qmrts import (AngleGrid, ChirpConfig, RadarArrayConfig, RtsChannelConfig,
                    Scenario)
 from qmrts.propagation import element_delays
+from qmrts.scenario import beat_frequencies_hz
+
+EPS = np.finfo(float).eps
 
 BASELINE_CFG = """\
 [chirp]
@@ -67,44 +70,79 @@ def on_bin_tau_rts(s: Scenario, k: int) -> float:
     return tau_rts
 
 
-def expected_bin_phase(s: Scenario, ntx: int, nrx: int, f_r: float,
-                       include_rvp: bool = True) -> float:
-    """Analytical detected-bin phase, mod 2*pi: the phase-contract oracle.
-
-    2*pi*[fc*tau_c + f_rts*tau_rts + (B*tau - f_R)/2], exact when B*tau
-    falls on bin f_R.  With include_rvp the retained residual video term
-    -(B/(2T))*tau^2 is added, matching the synthesized chain to machine
-    precision for on-bin scenarios; without it the formula is the idealized
-    prediction (the two differ by 2*pi*(B/(2T))*tau^2 radians).
-    """
+def phase_constants(s: Scenario) -> np.ndarray:
+    """Each element's beat phase constant (Ntx, Nrx) [cycles]:
+    fc*tau_c + f_rts*tau_rts - (B/(2T))*tau^2, the last the residual video
+    term, with tau_c the free-space round trip and tau = tau_c + tau_rts."""
     c, r = s.chirp, s.rts
-    # Explicit, because a negative index would silently wrap.
-    for name, i, n in (("ntx", ntx, s.array.ntx), ("nrx", nrx, s.array.nrx)):
-        if not 0 <= i < n:
-            raise IndexError(f"{name} index {i} out of range [0, {n})")
     tau_tx, tau_rx = element_delays(s)
-    tau_c = float(tau_tx[ntx, 0] + tau_rx[0, nrx])
+    tau_c = tau_tx + tau_rx
     tau = tau_c + r.tau_rts_s
-    cycles = c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s + 0.5 * (c.b_hz * tau - f_r)
-    if include_rvp:
-        cycles -= (c.b_hz / (2.0 * c.t_s)) * tau**2
-    return 2.0 * math.pi * (cycles % 1.0)
+    return (c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s
+            - (c.b_hz / (2.0 * c.t_s)) * tau**2)
+
+
+def tone_values(s: Scenario, k, zero_pad: int = 1) -> np.ndarray:
+    """The range DFT of every element's beat row at bin k, in closed form.
+
+    Element e's row is A*exp(j*2*pi*(c + f*t_n)), t_n = n*T/Ns, with f its
+    beat frequency (scenario.beat_frequencies_hz) and c its phase constant
+    fc*tau_c + f_rts*tau_rts - (B/(2T))*tau^2.  Its DFT of N = Ns*zero_pad
+    points at bin k is a geometric sum:
+
+        X_k = A*exp(j*2*pi*[c + (Ns-1)*x/2]) * sin(pi*Ns*x)/sin(pi*x),
+
+    x = f*T/Ns - k/N cycles per sample, and Ns where x = 0.  The kernel
+    has period 1 in x, so x is taken in [-1/2, 1/2].  k is a bin or a 1-D
+    array of bins; the result is (Ntx, Nrx), or (Ntx, Nrx, len(k)).
+    Shares no code with numpy's FFT or the chain's row loop.
+    """
+    ns, n = s.chirp.ns, s.chirp.ns * zero_pad
+    const = phase_constants(s)[..., None]
+    x = beat_frequencies_hz(s)[..., None] * s.chirp.t_s / ns - np.asarray(k) / n
+    x -= np.round(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = np.where(x == 0, ns, np.sin(np.pi * ns * x) / np.sin(np.pi * x))
+    out = s.rts.amplitude * np.exp(2j * np.pi * (const + (ns - 1) * x / 2)) * kernel
+    return out if np.ndim(k) else out[..., 0]
+
+
+def tone_tolerance(s: Scenario, zero_pad: int = 1) -> float:
+    """Bound on |range DFT value - tone_values| / (A*Ns), derived, not fitted.
+
+    Phi = 2*pi*(max|c| + max f*T) + pi*Ns bounds every phase argument
+    either side evaluates: the chain's 2*pi*(c + f*t_n), the oracle's
+    2*pi*(c + (Ns-1)*x/2) and pi*Ns*x.  Both sides compute c from the same
+    floats in the same order, so c itself adds nothing.  Counting roundings:
+    - the chain's phase is off by at most 5*eps*Phi per sample (t_n, f*t_n,
+      the sum and the 2*pi product), its exp and amplitude by 4*eps; the
+      DFT of that perturbation is at most Ns times it;
+    - the oracle's x is off by eps*(2*f*T/Ns + 2), which moves the sum by at
+      most pi*(Ns-1) times that, under 2*eps*Phi; its phase products add
+      3*eps*Phi, and its sines, quotient, exp and products 14*eps;
+    - the FFT of N points adds at most 7*eps*log2(N) of the spectrum's
+      2-norm (Higham, Accuracy and Stability of Numerical Algorithms,
+      sec. 24.1), which is sqrt(zero_pad)*A*Ns per bin.
+    The sum is eps*(10*Phi + 7*log2(N)*sqrt(zero_pad) + 18), rounded up.
+    An on-bin value has |X| = A*Ns, so this bounds its phase error in rad.
+    """
+    c = s.chirp
+    f_t = beat_frequencies_hz(s) * c.t_s
+    phi = (2 * math.pi * (np.max(np.abs(phase_constants(s))) + np.max(f_t))
+           + math.pi * c.ns)
+    n = c.ns * zero_pad
+    return EPS * (10 * phi + 7 * math.log2(n) * math.sqrt(zero_pad) + 20)
 
 
 def reference_beat(s: Scenario) -> np.ndarray:
     """The beat cube (Ntx, Nrx, Ns) as one expression with full-size
     temporaries: the oracle that range_spectrum's synthesis must match bit
     for bit."""
-    c, r = s.chirp, s.rts
-    tau_tx, tau_rx = element_delays(s)
-    tau_c = tau_tx + tau_rx
-    tau = tau_c + r.tau_rts_s
-    slope = c.b_hz / c.t_s
-    fbeat = slope * tau
+    c = s.chirp
+    fbeat, const = beat_frequencies_hz(s), phase_constants(s)
     t = np.arange(c.ns) * (c.t_s / c.ns)
-    const = c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s - (slope / 2.0) * tau**2
-    return r.amplitude * np.exp(1j * (2.0 * np.pi * (const[:, :, None]
-                                                     + fbeat[:, :, None] * t[None, None, :])))
+    return s.rts.amplitude * np.exp(1j * (2.0 * np.pi * (const[:, :, None]
+                                                         + fbeat[:, :, None] * t[None, None, :])))
 
 
 def wrap_phase(x: float) -> float:

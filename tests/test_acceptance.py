@@ -16,8 +16,8 @@ from qmrts import (AntennaSubset, ValidationError, beamform,
 from qmrts.beamformer import unit_phasor_spectrum
 from qmrts.closed_form import closed_form_phase, spectrum_magnitude
 from qmrts.experiment import SweepSpec
-from conftest import (build_scenario, expected_bin_phase, on_bin_tau_rts,
-                      reference_beat, wrap_phase)
+from conftest import (build_scenario, on_bin_tau_rts, reference_beat,
+                      tone_tolerance, tone_values, wrap_phase)
 
 DEG = math.degrees
 GRID_STEP_DEG = 0.01
@@ -204,25 +204,29 @@ def test_criterion_5_geometric_series_identity():
 def test_criterion_6_phase_contract():
     cases = [(0.3, 4), (0.3, 6), (0.3, 8), (1.0, 8), (1.0, 10), (1.0, 12),
              (1.0, 14)]
+    # The detected phase is held to the sampled tone's closed form at x = 0,
+    # within its derived rounding bound.  closed_form_phase leaves out the
+    # residual video term 2*pi*(B/(2T))*tau^2, 6.2e-3 rad at bin 14, so the
+    # beamformed peak keeps the 1e-2 rad envelope.
     worst_bin = worst_peak = 0.0
+    bin_ok = True
     for rc, k in cases:
         probe = build_scenario(rc_m=rc)
         s = build_scenario(rc_m=rc, tau_rts_s=on_bin_tau_rts(probe, k))
         rspec = range_spectrum(s)
         assert rspec.peak_bin == k
-        for i in range(2):
-            for j in range(4):
-                got = np.angle(rspec.peak_values[i, j])
-                want = expected_bin_phase(s, i, j, f_r=k, include_rvp=False)
-                worst_bin = max(worst_bin, abs(wrap_phase(got - want)))
+        err = np.abs(wrap_phase(np.angle(rspec.peak_values)
+                                - np.angle(tone_values(s, k))))
+        bin_ok &= bool(np.all(err <= tone_tolerance(s)))
+        worst_bin = max(worst_bin, float(np.max(err)))
         a = beamform(rspec, s)
         peak_phase = float(np.angle(a.values[a.peak_index]))
         diff = abs(wrap_phase(peak_phase - closed_form_phase(s)))
         worst_peak = max(worst_peak, diff)
-    ok = worst_bin < 1e-2 and worst_peak < 1e-2
-    report(6, ok, f"on-bin detected phase and beamformed peak phase match "
-           f"the analytic forms within 1e-2 rad (worst {worst_bin:.1e} / "
-           f"{worst_peak:.1e} rad)")
+    ok = bin_ok and worst_peak < 1e-2
+    report(6, ok, f"on-bin detected phase matches the sampled tone within its "
+           f"rounding bound (worst {worst_bin:.1e} rad), beamformed peak phase "
+           f"the analytic form within 1e-2 rad (worst {worst_peak:.1e} rad)")
 
 
 def test_criterion_7_range_detection():

@@ -108,7 +108,9 @@ def test_removed_api_is_gone():
                          ("_beat_rows", signal_chain),
                          ("_detect", signal_chain),
                          ("emit_scenario", scenario),
-                         ("_degrees_exact", scenario)):
+                         ("_degrees_exact", scenario),
+                         ("max_total_delay_s", scenario.Scenario),
+                         ("max_beat_frequency_hz", scenario.Scenario)):
         assert not hasattr(qmrts, name), name
         assert not hasattr(module, name), name
     assert cli.AMBIGUITY_GAP_DB == 6.0

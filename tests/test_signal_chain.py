@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmrts import bin_phase_frequency_scale, range_peak, range_spectrum
+from qmrts import (Scenario, ValidationError, bin_phase_frequency_scale, range_peak,
+                   range_spectrum)
 from qmrts import _csvio, signal_chain
 from qmrts._csvio import write_csv
-from qmrts.propagation import C0
+from qmrts.propagation import C0, element_delays
 from qmrts.signal_chain import PEAK_MARGIN_BINS, write_range_csv
-from conftest import (build_scenario, expected_bin_phase, on_bin_tau_rts,
-                      reference_beat, wrap_phase)
+from conftest import (build_scenario, on_bin_tau_rts, reference_beat,
+                      tone_tolerance, tone_values, wrap_phase)
 
 
 def test_cube_shape_and_rate(baseline):
@@ -61,21 +62,35 @@ def test_offset_elements_differ(baseline):
     assert not np.array_equal(r.spectrum[0, 1], r.spectrum[0, 0])
 
 
+def assert_one_nyquist_error(bad):
+    """validate, range_spectrum and range_peak raise the same ValidationError."""
+    texts = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (Scenario.validate, range_spectrum, range_peak):
+            with pytest.raises(ValidationError, match="Nyquist") as exc:
+                fn(bad)
+            texts.add(str(exc.value))
+    assert len(texts) == 1
+    assert "sample rate" in texts.pop()
+
+
 def test_nyquist_violation_raises():
     s = build_scenario()
     # bypass scenario validation by constructing the over-delayed variant
     # directly: beat of tau_rts = 1 us is 10 MHz against fs/2 = 5.12 MHz
-    bad = replace(s, rts=replace(s.rts, tau_rts_s=1e-6))
-    with pytest.raises(ValueError, match="Nyquist"):
-        range_spectrum(bad)
+    assert_one_nyquist_error(replace(s, rts=replace(s.rts, tau_rts_s=1e-6)))
 
 
 def test_nan_delay_fails_the_nyquist_check():
     # A NaN beat frequency compares False both ways, so it must not pass.
     s = build_scenario()
     bad = replace(s, rts=replace(s.rts, tau_rts_s=math.nan))
-    with pytest.raises(ValueError, match="Nyquist"):
+    with pytest.raises(ValidationError, match="Nyquist"):
         range_spectrum(bad)
+    # validate names a NaN input before the Nyquist check.  From finite
+    # inputs: three TX elements 1e308 m apart put the last at inf, and
+    # inf*sin(0 deg) makes its delay NaN.
+    assert_one_nyquist_error(replace(s, array=replace(s.array, ntx=3, dtx_m=1e308)))
 
 
 def test_detected_bin_off_grid(boresight):
@@ -92,35 +107,25 @@ def test_detected_bin_on_grid_exact():
 
 
 def test_on_bin_phase_matches_analytic_prediction():
+    # On bin, x = 0: the value is A*Ns*exp(j*2*pi*c).
     s = build_scenario()
     s = build_scenario(tau_rts_s=on_bin_tau_rts(s, 64))
     r = range_spectrum(s)
-    for i in range(2):
-        for j in range(4):
-            got = np.angle(r.peak_values[i, j])
-            want = expected_bin_phase(s, i, j, f_r=r.peak_bin)
-            assert abs(wrap_phase(got - want)) < 1e-6
-
-
-def test_index_out_of_range(boresight):
-    with pytest.raises(IndexError):
-        expected_bin_phase(boresight, 2, 0, f_r=0)
-    with pytest.raises(IndexError):
-        expected_bin_phase(boresight, 0, 4, f_r=0)
-    with pytest.raises(IndexError):
-        expected_bin_phase(boresight, -1, 0, f_r=0)
-    with pytest.raises(IndexError):
-        expected_bin_phase(boresight, 0, -1, f_r=0)
+    want = np.angle(tone_values(s, 64))
+    assert np.all(np.abs(wrap_phase(np.angle(r.peak_values) - want))
+                  <= tone_tolerance(s))
 
 
 def test_residual_video_term_size():
-    # The idealized (no residual-video) prediction differs by
-    # 2*pi*(B/(2T))*tau^2 = 0.1287 rad at bin 64.
+    # The detected phase lies 2*pi*(B/(2T))*tau^2 = 0.1287 rad below the
+    # idealized 2*pi*(fc*tau_c + f_rts*tau_rts) at bin 64.
     s = build_scenario()
     s = build_scenario(tau_rts_s=on_bin_tau_rts(s, 64))
-    with_rvp = expected_bin_phase(s, 0, 0, f_r=64)
-    without = expected_bin_phase(s, 0, 0, f_r=64, include_rvp=False)
-    assert abs(wrap_phase(without - with_rvp)) == pytest.approx(0.1286796, abs=1e-5)
+    tau_tx, tau_rx = element_delays(s)
+    tau_c = tau_tx[0, 0] + tau_rx[0, 0]
+    ideal = 2 * math.pi * (s.chirp.fc_hz * tau_c + s.rts.f_rts_hz * s.rts.tau_rts_s)
+    got = np.angle(range_spectrum(s).peak_values[0, 0])
+    assert wrap_phase(ideal - got) == pytest.approx(0.1286796, abs=1e-5)
 
 
 def test_phase_without_if_term_when_frts_zero():
@@ -128,8 +133,8 @@ def test_phase_without_if_term_when_frts_zero():
     s = build_scenario(f_rts_hz=0.0, tau_rts_s=on_bin_tau_rts(s, 16))
     r = range_spectrum(s)
     got = np.angle(r.peak_values[0, 0])
-    want = expected_bin_phase(s, 0, 0, f_r=16)  # f_rts term contributes 0
-    assert abs(wrap_phase(got - want)) < 1e-6
+    want = np.angle(tone_values(s, 16)[0, 0])  # f_rts term contributes 0
+    assert abs(wrap_phase(got - want)) <= tone_tolerance(s)
 
 
 def test_equal_delay_elements_share_phase(boresight):
@@ -271,6 +276,60 @@ def chains(draw):
 def test_range_peak_equals_range_spectrum_property(kwargs):
     s = build_scenario(**kwargs)
     assert_same_peak(range_peak(s), range_spectrum(s))
+
+
+def assert_peak_bin_is_the_tones(s, peak_bin, zero_pad):
+    """peak_bin maximizes the closed-form power sum, up to a tie within the
+    power the tone_tolerance error can move."""
+    n = s.chirp.ns * zero_pad
+    power = np.sum(np.abs(tone_values(s, np.arange(n), zero_pad)) ** 2, axis=(0, 1))
+    # |X| <= A*Ns, so each element's power moves by at most 2*bound*(A*Ns)^2
+    # + (bound*A*Ns)^2; the chain's and the oracle's sums may each be off.
+    bound = tone_tolerance(s, zero_pad)
+    tie = 2 * s.array.ntx * s.array.nrx * (2 * bound + bound**2) * (
+        s.rts.amplitude * s.chirp.ns) ** 2
+    assert power[peak_bin] >= power.max() - tie
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(chains(), st.sampled_from([1, 2, 4]))
+def test_chain_equals_the_tones_closed_form(kwargs, zero_pad):
+    # Every bin of range_spectrum, on and off the peak, and range_peak's
+    # peak values, against the geometric sum of the sampled tone.
+    s = build_scenario(**kwargs)
+    scale = s.rts.amplitude * s.chirp.ns
+    r = range_spectrum(s, zero_pad)
+    n = r.spectrum.shape[-1]
+    want = tone_values(s, np.arange(n), zero_pad)
+    assert np.max(np.abs(r.spectrum - want)) <= tone_tolerance(s, zero_pad) * scale
+    assert_peak_bin_is_the_tones(s, r.peak_bin, zero_pad)
+    p = range_peak(s)
+    assert np.max(np.abs(p.peak_values - tone_values(s, p.peak_bin))) <= (
+        tone_tolerance(s) * scale)
+    assert_peak_bin_is_the_tones(s, p.peak_bin, 1)
+
+
+def test_tone_phase_gradient_runs_at_the_scaled_frequency():
+    # The tone's phase 2*pi*[c + (Ns-1)*x/2] changes between elements a, b
+    # by 2*pi*dtau*(fc*scale - (B/T)*(tau_a + tau_b)/2): the (Ns-1)*x/2
+    # term gives B*(Ns-1)/(2*Ns), the residual video term the last part.
+    # Element 0 is on bin 8 and element 15 is 0.05 bin off it, so every
+    # |X| is within 1 % of A*Ns and each phase is off by under
+    # tone_tolerance.
+    probe = build_scenario(ntx=1, nrx=16)
+    s = build_scenario(ntx=1, nrx=16, theta_tx_deg=30.0,
+                       tau_rts_s=on_bin_tau_rts(probe, 8))
+    c = s.chirp
+    phase = np.angle(tone_values(s, 8))[0]
+    tau_tx, tau_rx = element_delays(s)
+    tau = (tau_tx + tau_rx + s.rts.tau_rts_s)[0]
+    rate = (c.fc_hz * bin_phase_frequency_scale(s)
+            - (c.b_hz / c.t_s) * (tau[1:] + tau[:-1]) / 2)
+    step = wrap_phase(np.diff(phase) - 2 * math.pi * np.diff(tau) * rate)
+    assert np.all(np.abs(step) <= 2 * tone_tolerance(s))
+    # At fc alone the steps would miss by 2*pi*dtau*B/2, about 0.01 rad.
+    at_fc = wrap_phase(np.diff(phase) - 2 * math.pi * np.diff(tau) * c.fc_hz)
+    assert np.all(np.abs(at_fc) > 1e-3)
 
 
 def test_range_peak_falls_back_when_the_window_misses(boresight, monkeypatch):
