@@ -19,7 +19,7 @@ from .closed_form import (MODES, closed_form_spectrum, peak_separation_db,
 from .experiment import (AntennaSubset, emit_results, load_sweep_spec,
                          rts_displacement, run_sweep)
 from .propagation import far_field_distance
-from .scenario import (ConfigError, Scenario, ValidationError, beat_frequencies_hz,
+from .scenario import (ConfigError, Scenario, ValidationError, beat_tones,
                        parse_config, read_config_file, scenario_from_config)
 from .signal_chain import range_peak, range_spectrum, write_range_csv
 
@@ -57,7 +57,7 @@ def cmd_validate(args) -> int:
         print(f"fail: {exc}", file=sys.stderr)
         return 1
     fs = s.sample_rate_hz
-    fb = float(beat_frequencies_hz(s).max())
+    fb = float(beat_tones(s)[0].max())
     print(f"scenario: {Path(args.config)}")
     print(f"  wavelength        {s.wavelength_m * 1e3:.6g} mm")
     print(f"  sample rate       {fs:.6g} Hz")

@@ -27,7 +27,7 @@ def element_delays(s: "Scenario") -> tuple[np.ndarray, np.ndarray]:
 
     They broadcast to the virtual array: the free-space round trip of
     element (i, j) is tau_tx + tau_rx, and the total delay adds the RTS
-    internal delay tau_rts_s (scenario.beat_frequencies_hz).
+    internal delay tau_rts_s (scenario.beat_tones).
     """
     a, r = s.array, s.rts
     tau_tx = (r.rc_m + a.tx_positions_m()[:, None] * math.sin(r.theta_rx_rad)) / C0

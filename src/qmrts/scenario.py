@@ -200,7 +200,7 @@ class Scenario:
             raise ValidationError(
                 f"angle_step_deg = {math.degrees(g.step_rad):.9g} does not divide "
                 f"the angle span of {math.degrees(g.max_rad - g.min_rad):.9g} deg")
-        beat_frequencies_hz(self)  # the Nyquist check
+        beat_tones(self)  # the Nyquist check
 
         warnings = []
         ff = far_field_distance(self)
@@ -211,19 +211,23 @@ class Scenario:
         return warnings
 
 
-def beat_frequencies_hz(s: Scenario) -> np.ndarray:
-    """Beat tone (B/T)*(tau_tx + tau_rx + tau_rts) of every virtual element,
-    (Ntx, Nrx) [Hz].  The one Nyquist check: raises ValidationError if the
-    largest tone reaches half the sample rate, a NaN delay included."""
+def beat_tones(s: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every virtual element's beat tone and delays, each (Ntx, Nrx):
+    fbeat = (B/T)*tau [Hz], the free-space round trip tau_c = tau_tx + tau_rx
+    and the total delay tau = tau_c + tau_rts [s].  The one Nyquist check:
+    raises ValidationError if the largest tone reaches half the sample
+    rate, a NaN delay included."""
     c = s.chirp
     tau_tx, tau_rx = element_delays(s)
-    fbeat = (c.b_hz / c.t_s) * (tau_tx + tau_rx + s.rts.tau_rts_s)
+    tau_c = tau_tx + tau_rx
+    tau = tau_c + s.rts.tau_rts_s
+    fbeat = (c.b_hz / c.t_s) * tau
     fs, fb = s.sample_rate_hz, np.max(fbeat)
     if not fb < fs / 2.0:
         raise ValidationError(
             f"sample rate {fs:.6g} Hz does not exceed twice the maximum beat frequency "
             f"{fb:.6g} Hz (Nyquist); increase ns or reduce delays")
-    return fbeat
+    return fbeat, tau_c, tau
 
 
 REQUIRED = object()   # default of a key the config must give

@@ -24,8 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from ._csvio import write_blocks
-from .propagation import element_delays
-from .scenario import Scenario, beat_frequencies_hz
+from .scenario import Scenario, beat_tones
 
 # Bins kept by range_peak on each side of the elements' beat bins B*tau.
 # The power-sum peak of an unaliased tone lies within one bin of B*tau.
@@ -59,11 +58,8 @@ def _checked_tones(s: Scenario, zero_pad: int):
     """
     if zero_pad < 1 or zero_pad & (zero_pad - 1):
         raise ValueError(f"zero_pad must be a power of two (got {zero_pad})")
-    fbeat = beat_frequencies_hz(s)
+    fbeat, tau_c, tau = beat_tones(s)
     c, r = s.chirp, s.rts
-    tau_tx, tau_rx = element_delays(s)
-    tau_c = tau_tx + tau_rx
-    tau = tau_c + r.tau_rts_s
     const = (c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s
              - (c.b_hz / c.t_s / 2.0) * tau**2)
     return fbeat, const, c.ns * zero_pad

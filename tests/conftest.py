@@ -5,8 +5,7 @@ import pytest
 
 from qmrts import (AngleGrid, ChirpConfig, RadarArrayConfig, RtsChannelConfig,
                    Scenario)
-from qmrts.propagation import element_delays
-from qmrts.scenario import beat_frequencies_hz
+from qmrts.scenario import beat_tones
 
 EPS = np.finfo(float).eps
 
@@ -75,9 +74,7 @@ def phase_constants(s: Scenario) -> np.ndarray:
     fc*tau_c + f_rts*tau_rts - (B/(2T))*tau^2, the last the residual video
     term, with tau_c the free-space round trip and tau = tau_c + tau_rts."""
     c, r = s.chirp, s.rts
-    tau_tx, tau_rx = element_delays(s)
-    tau_c = tau_tx + tau_rx
-    tau = tau_c + r.tau_rts_s
+    _, tau_c, tau = beat_tones(s)
     return (c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s
             - (c.b_hz / (2.0 * c.t_s)) * tau**2)
 
@@ -86,7 +83,7 @@ def tone_values(s: Scenario, k, zero_pad: int = 1) -> np.ndarray:
     """The range DFT of every element's beat row at bin k, in closed form.
 
     Element e's row is A*exp(j*2*pi*(c + f*t_n)), t_n = n*T/Ns, with f its
-    beat frequency (scenario.beat_frequencies_hz) and c its phase constant
+    beat frequency (scenario.beat_tones) and c its phase constant
     fc*tau_c + f_rts*tau_rts - (B/(2T))*tau^2.  Its DFT of N = Ns*zero_pad
     points at bin k is a geometric sum:
 
@@ -99,7 +96,7 @@ def tone_values(s: Scenario, k, zero_pad: int = 1) -> np.ndarray:
     """
     ns, n = s.chirp.ns, s.chirp.ns * zero_pad
     const = phase_constants(s)[..., None]
-    x = beat_frequencies_hz(s)[..., None] * s.chirp.t_s / ns - np.asarray(k) / n
+    x = beat_tones(s)[0][..., None] * s.chirp.t_s / ns - np.asarray(k) / n
     x -= np.round(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel = np.where(x == 0, ns, np.sin(np.pi * ns * x) / np.sin(np.pi * x))
@@ -123,15 +120,25 @@ def tone_tolerance(s: Scenario, zero_pad: int = 1) -> float:
     - the FFT of N points adds at most 7*eps*log2(N) of the spectrum's
       2-norm (Higham, Accuracy and Stability of Numerical Algorithms,
       sec. 24.1), which is sqrt(zero_pad)*A*Ns per bin.
-    The sum is eps*(10*Phi + 7*log2(N)*sqrt(zero_pad) + 18), rounded up.
-    An on-bin value has |X| = A*Ns, so this bounds its phase error in rad.
+    The sum, to first order in eps, is
+    eps*(10*Phi + 7*log2(N)*sqrt(zero_pad) + 18).  phase_tolerance turns
+    it into a bound on the phase error.
     """
     c = s.chirp
-    f_t = beat_frequencies_hz(s) * c.t_s
+    f_t = beat_tones(s)[0] * c.t_s
     phi = (2 * math.pi * (np.max(np.abs(phase_constants(s))) + np.max(f_t))
            + math.pi * c.ns)
     n = c.ns * zero_pad
-    return EPS * (10 * phi + 7 * math.log2(n) * math.sqrt(zero_pad) + 20)
+    return EPS * (10 * phi + 7 * math.log2(n) * math.sqrt(zero_pad) + 18)
+
+
+def phase_tolerance(s: Scenario, k) -> np.ndarray:
+    """Bound on the phase error [rad] of every element's range DFT value
+    at bin k (zero_pad 1), (Ntx, Nrx): an error of tone_tolerance*A*Ns
+    turns a value of size |X| by at most that over |X|, which is
+    tone_tolerance itself only on-bin, where |X| = A*Ns."""
+    scale = s.rts.amplitude * s.chirp.ns
+    return tone_tolerance(s) * scale / np.abs(tone_values(s, k))
 
 
 def reference_beat(s: Scenario) -> np.ndarray:
@@ -139,7 +146,7 @@ def reference_beat(s: Scenario) -> np.ndarray:
     temporaries: the oracle that range_spectrum's synthesis must match bit
     for bit."""
     c = s.chirp
-    fbeat, const = beat_frequencies_hz(s), phase_constants(s)
+    fbeat, const = beat_tones(s)[0], phase_constants(s)
     t = np.arange(c.ns) * (c.t_s / c.ns)
     return s.rts.amplitude * np.exp(1j * (2.0 * np.pi * (const[:, :, None]
                                                          + fbeat[:, :, None] * t[None, None, :])))

@@ -1,17 +1,13 @@
 """Golden transcripts of the qmrts CLI, checked by tests/test_golden.py.
 
-    PYTHONPATH=src python tests/golden/regen.py            # every case
-    PYTHONPATH=src python tests/golden/regen.py NAME...    # the named cases
+    PYTHONPATH=src python tests/golden/regen.py
 
 Each case runs qmrts.cli.main in process, in a scratch working directory
 that holds the example config, and is recorded as one transcript: the
 command line, the exit code, stdout, stderr and the full text of the
 checked output files.  Paths are relative, so the printed "wrote ..."
 lines do not depend on where the case runs.  The numpy version the
-transcripts were written with is kept in NUMPY_VERSION.  Named cases are
-rewritten only under that numpy, and NUMPY_VERSION is left as it is, so
-the other transcripts stay valid; with no names every case is rewritten
-and NUMPY_VERSION records the running numpy.
+transcripts were written with is kept in NUMPY_VERSION.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qmrts.cli import main as qmrts_main
+from qmrts.cli import main
 
 HERE = Path(__file__).resolve().parent
 EXAMPLE = HERE.parents[1] / "scenario.example.cfg"
@@ -72,7 +68,7 @@ def transcript(name: str, workdir: Path) -> str:
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = qmrts_main(argv)
+            code = main(argv)
         parts = [f"argv: {' '.join(argv)}\n", f"exit: {code}\n",
                  "--- stdout\n", out.getvalue(), "--- stderr\n", err.getvalue()]
         for path in files:
@@ -83,37 +79,19 @@ def transcript(name: str, workdir: Path) -> str:
     return "".join(parts)
 
 
-def regenerate(names=()) -> None:
-    """Rewrite the named transcripts, or every one and NUMPY_VERSION."""
+def regenerate() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="qmrts-golden-"))
     try:
         write_configs(workdir)
-        for name in names or CASES:
+        for name in CASES:
             (HERE / f"{name}.txt").write_text(transcript(name, workdir),
                                               encoding="utf-8", newline="")
     finally:
         shutil.rmtree(workdir)
-    if not names:
-        NUMPY_VERSION.write_text(np.__version__ + "\n", encoding="utf-8")
-
-
-def main(argv: list[str]) -> int:
-    names = list(dict.fromkeys(argv))
-    unknown = [name for name in names if name not in CASES]
-    if unknown:
-        print(f"unknown case(s): {', '.join(unknown)}; the cases are "
-              f"{', '.join(CASES)}", file=sys.stderr)
-        return 2
-    golden = NUMPY_VERSION.read_text(encoding="utf-8").strip()
-    if names and np.__version__ != golden:
-        print(f"numpy {np.__version__} is not the transcripts' numpy {golden}: "
-              f"regenerate every case to change it", file=sys.stderr)
-        return 2
-    regenerate(names)
-    print(f"wrote {len(names or CASES)} transcripts to {HERE} "
-          f"(numpy {np.__version__})", file=sys.stderr)
-    return 0
+    NUMPY_VERSION.write_text(np.__version__ + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    regenerate()
+    print(f"wrote {len(CASES)} transcripts to {HERE} (numpy {np.__version__})",
+          file=sys.stderr)

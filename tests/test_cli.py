@@ -418,22 +418,22 @@ def test_compare_beamforms_each_level_once_for_its_peak(cfg_path, monkeypatch, c
 
 
 def test_bad_zero_pad_synthesizes_no_row(cfg_path, tmp_path, monkeypatch, capsys):
-    # The chain's synthesis starts from the element delays, so a factor
+    # The chain's synthesis starts from the beat tones, so a factor
     # rejected before synthesis never asks for them.
-    delays = []
+    tones = []
 
     def spy(s):
-        delays.append(element_delays(s))
-        return delays[-1]
-    element_delays = signal_chain.element_delays
-    monkeypatch.setattr(signal_chain, "element_delays", spy)
+        tones.append(beat_tones(s))
+        return tones[-1]
+    beat_tones = signal_chain.beat_tones
+    monkeypatch.setattr(signal_chain, "beat_tones", spy)
     out_dir = tmp_path / "out"
     assert main(["simulate", str(cfg_path), str(out_dir), "--zero-pad", "3"]) == 2
     assert capsys.readouterr().err == "error: zero_pad must be a power of two (got 3)\n"
-    assert delays == []
-    # The spy sees the delays of a good factor: one (2x1, 1x4) pair.
+    assert tones == []
+    # The spy sees the tones of a good factor once: one 2x4 board.
     assert main(["simulate", str(cfg_path), str(out_dir), "--zero-pad", "2"]) == 0
-    assert [(tx.shape, rx.shape) for tx, rx in delays] == [((2, 1), (1, 4))]
+    assert [fbeat.shape for fbeat, _, _ in tones] == [(2, 4)]
 
 
 @pytest.mark.parametrize("option, code", [(["--subset", "9x9"], 1),

@@ -3,8 +3,7 @@
 With the numpy version the transcripts were written with, every case
 must match byte for byte.  Under another numpy the last bits of a float
 may move, so the numbers are compared to 1e-9 relative and all other
-text exactly.  Regenerate with ``PYTHONPATH=src python tests/golden/regen.py``,
-or only some cases with ``regen.py NAME...`` under the recorded numpy.
+text exactly.  Regenerate with ``PYTHONPATH=src python tests/golden/regen.py``.
 """
 
 import math
@@ -13,7 +12,6 @@ import re
 import numpy as np
 import pytest
 
-from golden import regen
 from golden.regen import CASES, HERE, NUMPY_VERSION, transcript, write_configs
 
 GOLDEN_NUMPY = NUMPY_VERSION.read_text(encoding="utf-8").strip()
@@ -60,39 +58,3 @@ def test_float_tolerant_comparison():
     assert not same_up_to_float_bits(want.replace("1x4", "2x4"), want)
     assert not same_up_to_float_bits(want.replace("deg", "rad"), want)
     assert not same_up_to_float_bits(want + "extra\n", want)
-
-
-@pytest.fixture
-def scratch_golden(tmp_path, monkeypatch):
-    """regen writing into tmp_path, whose NUMPY_VERSION is the running numpy."""
-    monkeypatch.setattr(regen, "HERE", tmp_path)
-    monkeypatch.setattr(regen, "NUMPY_VERSION", tmp_path / "NUMPY_VERSION")
-    (tmp_path / "NUMPY_VERSION").write_text(np.__version__ + "\n", encoding="utf-8")
-    return tmp_path
-
-
-def test_regen_refuses_an_unknown_case(scratch_golden, capsys):
-    assert regen.main(["validate", "no-such-case"]) == 2
-    assert "unknown case(s): no-such-case" in capsys.readouterr().err
-    assert [p.name for p in scratch_golden.iterdir()] == ["NUMPY_VERSION"]
-
-
-def test_regen_of_named_cases_needs_the_transcripts_numpy(scratch_golden, capsys):
-    (scratch_golden / "NUMPY_VERSION").write_text("1.0.0\n", encoding="utf-8")
-    assert regen.main(["validate"]) == 2
-    assert "is not the transcripts' numpy 1.0.0" in capsys.readouterr().err
-    assert [p.name for p in scratch_golden.iterdir()] == ["NUMPY_VERSION"]
-    assert (scratch_golden / "NUMPY_VERSION").read_text(encoding="utf-8") == "1.0.0\n"
-
-
-def test_regen_rewrites_only_the_named_cases(scratch_golden):
-    version = (scratch_golden / "NUMPY_VERSION").read_bytes()
-    assert regen.main(["validate", "compare-1x4"]) == 0
-    assert sorted(p.name for p in scratch_golden.iterdir()) == [
-        "NUMPY_VERSION", "compare-1x4.txt", "validate.txt"]
-    assert (scratch_golden / "NUMPY_VERSION").read_bytes() == version
-    for name in ("validate", "compare-1x4"):
-        got = (scratch_golden / f"{name}.txt").read_bytes().decode("utf-8")
-        want = (HERE / f"{name}.txt").read_bytes().decode("utf-8")
-        assert got == want if np.__version__ == GOLDEN_NUMPY else (
-            same_up_to_float_bits(got, want))

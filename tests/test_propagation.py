@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmrts.propagation import C0, element_delays, far_field_distance
-from qmrts.scenario import beat_frequencies_hz
+from qmrts.scenario import beat_tones
 from conftest import build_scenario
 
 
@@ -88,7 +88,7 @@ def test_rts_delay_enters_total_only():
     ref_tx, ref_rx = element_delays(build_scenario())
     assert np.array_equal(tau_tx, ref_tx) and np.array_equal(tau_rx, ref_rx)
     slope = s.chirp.b_hz / s.chirp.t_s
-    assert beat_frequencies_hz(s).max() == slope * (tau_tx.max() + tau_rx.max() + 5e-8)
+    assert beat_tones(s)[0].max() == slope * (tau_tx.max() + tau_rx.max() + 5e-8)
 
 
 def test_far_field_reference_aperture(boresight):

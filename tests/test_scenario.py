@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qmrts import (AngleGrid, ConfigError, ValidationError, load_scenario,
                    load_scenario_file, load_sweep_spec_file, rts_displacement)
 from qmrts.experiment import load_sweep_spec
-from qmrts.scenario import _SCHEMA, REQUIRED, beat_frequencies_hz
+from qmrts.scenario import _SCHEMA, REQUIRED, beat_tones
 from qmrts.propagation import C0
 from qmrts.cli import main
 from conftest import build_scenario
@@ -402,7 +402,7 @@ def test_grid_step_finer_than_search_grid_rejected(baseline_cfg, tmp_path, capsy
 def test_max_delay_and_beat(boresight):
     # At boresight every element's tone is (B/T)*2*Rc/c0.
     c = boresight.chirp
-    fbeat = beat_frequencies_hz(boresight)
+    fbeat = beat_tones(boresight)[0]
     assert fbeat.shape == (2, 4)
     assert fbeat.max() / (c.b_hz / c.t_s) == pytest.approx(2 / C0, rel=1e-12)
     assert fbeat.max() == pytest.approx(66712.819, rel=1e-6)

@@ -13,8 +13,8 @@ from qmrts import _csvio, signal_chain
 from qmrts._csvio import write_csv
 from qmrts.propagation import C0, element_delays
 from qmrts.signal_chain import PEAK_MARGIN_BINS, write_range_csv
-from conftest import (build_scenario, on_bin_tau_rts, reference_beat,
-                      tone_tolerance, tone_values, wrap_phase)
+from conftest import (build_scenario, on_bin_tau_rts, phase_tolerance,
+                      reference_beat, tone_tolerance, tone_values, wrap_phase)
 
 
 def test_cube_shape_and_rate(baseline):
@@ -113,7 +113,7 @@ def test_on_bin_phase_matches_analytic_prediction():
     r = range_spectrum(s)
     want = np.angle(tone_values(s, 64))
     assert np.all(np.abs(wrap_phase(np.angle(r.peak_values) - want))
-                  <= tone_tolerance(s))
+                  <= phase_tolerance(s, 64))
 
 
 def test_residual_video_term_size():
@@ -134,7 +134,7 @@ def test_phase_without_if_term_when_frts_zero():
     r = range_spectrum(s)
     got = np.angle(r.peak_values[0, 0])
     want = np.angle(tone_values(s, 16)[0, 0])  # f_rts term contributes 0
-    assert abs(wrap_phase(got - want)) <= tone_tolerance(s)
+    assert abs(wrap_phase(got - want)) <= phase_tolerance(s, 16)[0, 0]
 
 
 def test_equal_delay_elements_share_phase(boresight):
@@ -313,9 +313,8 @@ def test_tone_phase_gradient_runs_at_the_scaled_frequency():
     # The tone's phase 2*pi*[c + (Ns-1)*x/2] changes between elements a, b
     # by 2*pi*dtau*(fc*scale - (B/T)*(tau_a + tau_b)/2): the (Ns-1)*x/2
     # term gives B*(Ns-1)/(2*Ns), the residual video term the last part.
-    # Element 0 is on bin 8 and element 15 is 0.05 bin off it, so every
-    # |X| is within 1 % of A*Ns and each phase is off by under
-    # tone_tolerance.
+    # Element 0 is on bin 8 and element 15 is 0.05 bin off it; each
+    # phase is off by under its phase_tolerance.
     probe = build_scenario(ntx=1, nrx=16)
     s = build_scenario(ntx=1, nrx=16, theta_tx_deg=30.0,
                        tau_rts_s=on_bin_tau_rts(probe, 8))
@@ -326,7 +325,8 @@ def test_tone_phase_gradient_runs_at_the_scaled_frequency():
     rate = (c.fc_hz * bin_phase_frequency_scale(s)
             - (c.b_hz / c.t_s) * (tau[1:] + tau[:-1]) / 2)
     step = wrap_phase(np.diff(phase) - 2 * math.pi * np.diff(tau) * rate)
-    assert np.all(np.abs(step) <= 2 * tone_tolerance(s))
+    tol = phase_tolerance(s, 8)[0]
+    assert np.all(np.abs(step) <= tol[1:] + tol[:-1])
     # At fc alone the steps would miss by 2*pi*dtau*B/2, about 0.01 rad.
     at_fc = wrap_phase(np.diff(phase) - 2 * math.pi * np.diff(tau) * c.fc_hz)
     assert np.all(np.abs(at_fc) > 1e-3)
