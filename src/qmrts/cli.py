@@ -87,7 +87,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_range_csv(rspec, out / "range_spectrum.csv")
     write_angle_csv(asp, out / "angle_spectrum.csv")
-    cf = closed_form_spectrum(ssub, args.mode)
+    cf = closed_form_spectrum(ssub, args.mode, rspec.peak_bin, rspec.spectrum.shape[-1])
     write_closed_form_csv(cf, out / "closed_form_spectrum.csv")
 
     lines = [

@@ -12,6 +12,8 @@ small-argument step sin(x) ~ x to the denominator, giving the compact
 |sinc(N*d*u/lambda)| form.  The sinc form is a biased approximation for
 small N (its main-lobe curvature is N^2/(N^2-1) too strong), which shifts
 its peak toward the receiver for the wide-spaced two-element TX array.
+The phase (closed_form_phase) is that of the full chain's steering sum at
+alpha = 0, at the detected bin k of its n-point range DFT.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 
 from ._csvio import magnitude_db, write_csv
 from .beamformer import _coarse_to_fine
-from .propagation import C0
 from .scenario import FINE_STEP_DEG, Scenario
+from .signal_chain import beat_phases
 
 MODES = ("sinc", "dirichlet")
 
@@ -34,7 +36,7 @@ SEPARATION_STEP_DEG = 0.01
 
 @dataclass(frozen=True)
 class ClosedFormSpectrum:
-    """Real magnitude spectrum plus the scenario-level phase constant."""
+    """Real magnitude spectrum plus the phase at alpha = 0 (closed_form_phase)."""
 
     angles_rad: np.ndarray
     magnitude: np.ndarray
@@ -68,26 +70,29 @@ def spectrum_magnitude(s: Scenario, angles_rad: np.ndarray, mode: str) -> np.nda
     return gain * ktx * krx
 
 
-def closed_form_spectrum(s: Scenario, mode: str) -> ClosedFormSpectrum:
-    """Evaluate the analytic spectrum on the scenario's angle grid."""
+def closed_form_spectrum(s: Scenario, mode: str, k: int, n: int) -> ClosedFormSpectrum:
+    """The analytic spectrum on the angle grid, phased at bin k of an n-point DFT."""
     angles = s.grid.angles_rad()
     return ClosedFormSpectrum(angles_rad=angles,
                               magnitude=spectrum_magnitude(s, angles, mode),
-                              phase_rad=closed_form_phase(s),
+                              phase_rad=closed_form_phase(s, k, n),
                               mode=mode)
 
 
-def closed_form_phase(s: Scenario) -> float:
-    """Scenario-level spectrum phase constant, mod 2*pi.
+def closed_form_phase(s: Scenario, k: int, n: int) -> float:
+    """Phase at alpha = 0 at bin k of the n-point range DFT, mod 2*pi.
 
-    2*pi*[ (fc + B/2)*2*Rc/c0 + (f_rts + B/2)*tau_rts
-           + dtx/(2*lambda)*(Ntx-1)*sin(theta_rx)
-           + drx/(2*lambda)*(Nrx-1)*sin(theta_tx) ]
+    Element 0's row A*exp(j*2*pi*(c0 + f0*t_n)) (signal_chain.beat_phases)
+    sums at bin k to A*exp(j*2*pi*[c0 + (Ns-1)*x0/2]) times a kernel positive
+    within a bin of the tone, x0 = f0*T/Ns - k/n.  Summing the elements adds
+    (dtx*(Ntx-1)*sin(theta_rx) + drx*(Nrx-1)*sin(theta_tx))/(2*lambda) cycles
+    at fc, not at bin_phase_frequency_scale*fc (1.1e-3 rad on the example).
     """
     c, a, r = s.chirp, s.array, s.rts
     lam = s.wavelength_m
-    cycles = ((c.fc_hz + c.b_hz / 2.0) * 2.0 * r.rc_m / C0
-              + (r.f_rts_hz + c.b_hz / 2.0) * r.tau_rts_s
+    fbeat, const = beat_phases(s)
+    x0 = float(fbeat[0, 0]) * c.t_s / c.ns - k / n
+    cycles = (float(const[0, 0]) + (c.ns - 1) * x0 / 2.0
               + a.dtx_m / (2.0 * lam) * (a.ntx - 1) * math.sin(r.theta_rx_rad)
               + a.drx_m / (2.0 * lam) * (a.nrx - 1) * math.sin(r.theta_tx_rad))
     return 2.0 * math.pi * (cycles % 1.0)

@@ -10,7 +10,7 @@ the analytic (dirichlet) predictor for several antenna selections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from ._csvio import write_csv
 from .beamformer import beamform
@@ -162,16 +162,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-CSV_HEADER = ["d_rts_m", "theta_rx_deg", "theta_tx_deg", "subset",
-              "detected_fullchain_deg", "detected_closedform_deg",
-              "deviation_deg", "range_compensated"]
-
-
 def emit_results(rows: list[SweepRow], destination) -> None:
-    """Write sweep rows as CSV (floats at 9 significant digits)."""
+    """Write sweep rows as CSV, a column per SweepRow field, 9 significant digits."""
     if not rows:
         raise ValueError("no sweep rows to emit")
-    columns = {name: [getattr(r, name) for r in rows] for name in CSV_HEADER}
+    columns = {f.name: [getattr(r, f.name) for r in rows] for f in fields(SweepRow)}
     columns["range_compensated"] = [
         "true" if r.range_compensated else "false" for r in rows]
     write_csv(destination, columns)

@@ -116,11 +116,11 @@ class AngleGrid:
         return math.ceil(x - STEP_RTOL * x) + 1
 
     def angles_rad(self) -> np.ndarray:
-        return np.linspace(self.min_rad, self.max_rad, self.n_points)
+        return self.angles_at(np.arange(self.n_points))
 
     def angles_at(self, idx: np.ndarray) -> np.ndarray:
-        """angles_rad()[idx] without the full grid, by linspace's own
-        arithmetic: idx*step + min, with the last index pinned to max."""
+        """The grid's angles at indices idx, by linspace's own arithmetic:
+        idx*step + min, with the last index pinned to max."""
         last = self.n_points - 1
         out = idx * ((self.max_rad - self.min_rad) / last) + self.min_rad
         out[idx == last] = self.max_rad

@@ -51,18 +51,14 @@ class RangeSpectrum:
         return self.spectrum[:, :, self.peak_bin - self.first_bin]
 
 
-def _checked_tones(s: Scenario, zero_pad: int):
-    """Each element's beat frequency and phase constant, and the DFT length.
-
-    Checks zero_pad, then the Nyquist bound, before anything is allocated.
-    """
-    if zero_pad < 1 or zero_pad & (zero_pad - 1):
-        raise ValueError(f"zero_pad must be a power of two (got {zero_pad})")
+def beat_phases(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's beat tone fbeat [Hz] and phase constant
+    const = fc*tau_c + f_rts*tau_rts - (B/(2T))*tau^2 [cycles], (Ntx, Nrx),
+    from beat_tones: its row is A*exp(j*2*pi*(const + fbeat*t_n))."""
     fbeat, tau_c, tau = beat_tones(s)
     c, r = s.chirp, s.rts
-    const = (c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s
-             - (c.b_hz / c.t_s / 2.0) * tau**2)
-    return fbeat, const, c.ns * zero_pad
+    return fbeat, (c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s
+                   - (c.b_hz / c.t_s / 2.0) * tau**2)
 
 
 def _element_rows(s: Scenario, fbeat, const, outs, power):
@@ -112,7 +108,10 @@ def range_spectrum(s: Scenario, zero_pad: int = 1) -> RangeSpectrum:
     sum(|spec|^2, axis=(0, 1)), summed as the rows are made, so only one
     row of power is alive at a time.
     """
-    fbeat, const, n = _checked_tones(s, zero_pad)
+    if zero_pad < 1 or zero_pad & (zero_pad - 1):
+        raise ValueError(f"zero_pad must be a power of two (got {zero_pad})")
+    fbeat, const = beat_phases(s)
+    n = s.chirp.ns * zero_pad
     spec = np.empty((s.array.ntx, s.array.nrx, n), dtype=complex)
     power = np.zeros(n)
     for _ in _element_rows(s, fbeat, const, spec.reshape(-1, n), power):
@@ -139,7 +138,8 @@ def range_peak(s: Scenario) -> RangeSpectrum:
     the power sum peaks outside the window, the whole spectrum is made
     instead.
     """
-    fbeat, const, n = _checked_tones(s, 1)
+    fbeat, const = beat_phases(s)
+    n = s.chirp.ns
     lo, hi = _peak_window(s, fbeat)
     window = np.empty((s.array.ntx, s.array.nrx, hi - lo), dtype=complex)
     power = np.zeros(n)

@@ -141,6 +141,39 @@ def phase_tolerance(s: Scenario, k) -> np.ndarray:
     return tone_tolerance(s) * scale / np.abs(tone_values(s, k))
 
 
+def peak_phase_tolerance(s: Scenario, a, zero_pad: int = 1) -> float:
+    """Bound [rad] on |phase of a's peak value - closed_form_phase(s, k, n)|
+    for a = beamform of the chain at its detected bin k of a boresight board
+    (theta_rx = theta_tx = 0), derived, not fitted.
+
+    At boresight every element's delays are element 0's, so the exact
+    steering sum at the peak angle alpha is X0*K_tx*K_rx*exp(-j*pi*D*u/lambda),
+    u = sin(alpha), D the aperture, with kernels K positive near u = 0.  Its
+    phase is closed_form_phase less pi*D*|u|/lambda.  The computed value V
+    misses it by:
+    - the M element values' errors, each at most tone_tolerance*A*Ns (the
+      error phase_tolerance is made from), so M times that over |V| in
+      phase.  This also holds closed_form_phase's own rounding: its x0 is
+      the oracle's, bit for bit, and its phase 2*pi*frac(c0 + (Ns-1)*x0/2)
+      is rounded less than the oracle's;
+    - _steer's rounding: each steering phase theta = 2*pi*pos*u/lambda is
+      off by at most 8*eps*|theta| (2 from pos, 1 each from pi, u and
+      lambda, 3 from the products and the quotient), its exp by 2*eps, the
+      product with v_e by 2*eps of |v_e|, and the M - 1 additions after
+      the first by eps*sum|v_e| each.
+    To first order in eps the bound is
+    [M*tone_tolerance*A*Ns + eps*(M + 3 + 8*Theta)*sum|v_e|]/|V| + pi*D*|u|/lambda,
+    Theta = 2*pi*D*|u|/lambda the largest steering phase.
+    """
+    assert s.rts.theta_rx_rad == s.rts.theta_tx_rad == 0.0
+    v, peak = a.element_values, a.values[a.peak_index]
+    u = abs(math.sin(a.angles_rad[a.peak_index]))
+    half = math.pi * s.array.aperture_m * u / s.wavelength_m
+    elements = v.size * tone_tolerance(s, zero_pad) * s.rts.amplitude * s.chirp.ns
+    steer = EPS * (v.size + 3 + 16 * half) * np.sum(np.abs(v))
+    return float((elements + steer) / abs(peak) + half)
+
+
 def reference_beat(s: Scenario) -> np.ndarray:
     """The beat cube (Ntx, Nrx, Ns) as one expression with full-size
     temporaries: the oracle that range_spectrum's synthesis must match bit

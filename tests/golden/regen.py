@@ -6,8 +6,11 @@ Each case runs qmrts.cli.main in process, in a scratch working directory
 that holds the example config, and is recorded as one transcript: the
 command line, the exit code, stdout, stderr and the full text of the
 checked output files.  Paths are relative, so the printed "wrote ..."
-lines do not depend on where the case runs.  The numpy version the
-transcripts were written with is kept in NUMPY_VERSION.
+lines do not depend on where the case runs.
+
+NUMPY_VERSION pins the numpy the transcripts are written with.  Under any
+other numpy this script names both versions and writes nothing; to move
+the pin, edit NUMPY_VERSION and rerun under the numpy it names.
 """
 
 from __future__ import annotations
@@ -80,6 +83,12 @@ def transcript(name: str, workdir: Path) -> str:
 
 
 def regenerate() -> None:
+    """Rewrite every transcript, or exit without writing under a numpy
+    other than the pinned one."""
+    pinned = NUMPY_VERSION.read_text(encoding="utf-8").strip()
+    if np.__version__ != pinned:
+        sys.exit(f"numpy {np.__version__} is installed, but the transcripts are "
+                 f"pinned to numpy {pinned} ({NUMPY_VERSION.name}); nothing written")
     workdir = Path(tempfile.mkdtemp(prefix="qmrts-golden-"))
     try:
         write_configs(workdir)
@@ -88,7 +97,6 @@ def regenerate() -> None:
                                               encoding="utf-8", newline="")
     finally:
         shutil.rmtree(workdir)
-    NUMPY_VERSION.write_text(np.__version__ + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

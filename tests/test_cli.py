@@ -174,6 +174,24 @@ def test_simulate_offset_summary(cfg_path, tmp_path, capsys):
     assert "detected_angle_closedform_dirichlet_deg = 0.476487" in out
 
 
+@pytest.mark.parametrize("zero_pad", ["1", "4"])
+def test_simulate_phase_is_the_chains_phase_at_alpha_zero(tmp_path, zero_pad):
+    # spectrum_phase_rad is the phase of the beamformed spectrum at
+    # alpha = 0 at the detected bin.  It takes the array-centring terms at
+    # fc, not at fc*bin_phase_frequency_scale, which is 1.1e-3 rad here,
+    # inside the 1e-2 rad bin-phase-gradient envelope.
+    example = Path(__file__).resolve().parents[1] / "scenario.example.cfg"
+    out_dir = tmp_path / "out"
+    assert main(["simulate", str(example), str(out_dir), "--zero-pad", zero_pad]) == 0
+    summary = (out_dir / "summary.txt").read_text(encoding="utf-8")
+    phase = float(summary.split("spectrum_phase_rad = ")[1])
+    with open(out_dir / "angle_spectrum.csv", newline="", encoding="utf-8") as fh:
+        row = min(csv.DictReader(fh), key=lambda r: abs(float(r["alpha_deg"])))
+    assert abs(float(row["alpha_deg"])) < 1e-12
+    chain = math.atan2(float(row["im"]), float(row["re"]))
+    assert abs(math.remainder(phase - chain, 2 * math.pi)) <= 1e-2
+
+
 def test_simulate_subset_tracks_transmitter(cfg_path, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["simulate", str(cfg_path), str(out_dir),
@@ -431,9 +449,11 @@ def test_bad_zero_pad_synthesizes_no_row(cfg_path, tmp_path, monkeypatch, capsys
     assert main(["simulate", str(cfg_path), str(out_dir), "--zero-pad", "3"]) == 2
     assert capsys.readouterr().err == "error: zero_pad must be a power of two (got 3)\n"
     assert tones == []
-    # The spy sees the tones of a good factor once: one 2x4 board.
-    assert main(["simulate", str(cfg_path), str(out_dir), "--zero-pad", "2"]) == 0
-    assert [fbeat.shape for fbeat, _, _ in tones] == [(2, 4)]
+    # A good factor: the chain asks once, for the 2x4 board, then the
+    # closed-form phase once, for the 2x2 subset.
+    assert main(["simulate", str(cfg_path), str(out_dir), "--zero-pad", "2",
+                 "--subset", "2x2"]) == 0
+    assert [fbeat.shape for fbeat, _, _ in tones] == [(2, 4), (2, 2)]
 
 
 @pytest.mark.parametrize("option, code", [(["--subset", "9x9"], 1),

@@ -9,13 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from qmrts import (AngleGrid, beamform, closed_form, peak_separation_db,
                    predicted_peak, range_spectrum)
-from qmrts.beamformer import _peak
+from qmrts.beamformer import _peak, _steer
 from qmrts.cli import AMBIGUITY_GAP_DB
 from qmrts.closed_form import (closed_form_phase, closed_form_spectrum,
                                spectrum_magnitude, write_closed_form_csv)
+from qmrts.experiment import displaced
 from qmrts.propagation import C0
 from qmrts.scenario import FINE_STEP_DEG
-from conftest import build_scenario, on_bin_tau_rts, wrap_phase
+from qmrts.signal_chain import bin_phase_frequency_scale
+from conftest import (build_scenario, on_bin_tau_rts, peak_phase_tolerance,
+                      wrap_phase)
 
 DEG = math.degrees
 
@@ -63,23 +66,35 @@ def test_single_element_kernel_is_flat():
 
 
 def test_phase_constant_hand_value(boresight):
-    # theta = 0, tau_rts = 0: 2*pi * frac((fc + B/2) * 2*Rc/c0)
-    assert closed_form_phase(boresight) == pytest.approx(0.15298021326, abs=1e-6)
+    # theta = 0, tau_rts = 0, so tau = 2*Rc/c0 = 6.6712819039630e-9 s, and
+    # at bin k = 7 of n = 1024 points the tone's closed form gives, in cycles:
+    #   fc*tau                 = 513.68870660515
+    #   -(B/(2T))*tau^2        =  -0.00022253001121
+    #   x0 = (B*tau - k)/Ns    = (6.6712819039630 - 7)/1024 = -3.2101376566e-4
+    #   (Ns - 1)*x0/2          =  -0.16419854113565
+    # a sum of 513.52428553400730, so 2*pi*0.52428553400730 rad.
+    assert closed_form_phase(boresight, 7, 1024) == pytest.approx(3.2941831640414,
+                                                                  abs=1e-9)
 
 
 def test_phase_constant_linear_in_range():
-    s1 = build_scenario(rc_m=1.0)
-    s2 = build_scenario(rc_m=2.0)
-    extra = (77e9 + 0.5e9) * 2.0 / C0
-    want = (closed_form_phase(s1) + 2 * math.pi * extra) % (2 * math.pi)
-    assert abs(wrap_phase(closed_form_phase(s2) - want)) < 1e-6
+    # At a fixed bin k of n points the phase grows with the round trip tau
+    # at fc*bin_phase_frequency_scale = fc + B*(Ns-1)/(2*Ns), (Ns-1)*x0/2
+    # giving the second term, less the residual video term's growth.  The
+    # rounding of about 1e3 cycles is under 1e-11 rad.
+    s1, s2 = build_scenario(rc_m=1.0), build_scenario(rc_m=2.0)
+    tau1, tau2 = 2.0 / C0, 4.0 / C0
+    cycles = (77e9 * bin_phase_frequency_scale(s1) * (tau2 - tau1)
+              - 1e9 / (2 * 100e-6) * (tau2**2 - tau1**2))
+    want = closed_form_phase(s1, 7, 1024) + 2 * math.pi * cycles
+    assert abs(wrap_phase(closed_form_phase(s2, 7, 1024) - want)) < 1e-9
 
 
 def test_phase_constant_array_terms_vanish_for_single_elements():
     angled = build_scenario(ntx=1, nrx=1, theta_rx_deg=30.0, theta_tx_deg=-20.0)
     boresight11 = build_scenario(ntx=1, nrx=1)
-    assert closed_form_phase(angled) == pytest.approx(
-        closed_form_phase(boresight11), abs=1e-12)
+    assert closed_form_phase(angled, 7, 1024) == pytest.approx(
+        closed_form_phase(boresight11, 7, 1024), abs=1e-12)
 
 
 def test_predicted_peak_coincident_antennas_exact():
@@ -128,15 +143,33 @@ def test_modes_argmax_within_spec_band(baseline):
     assert abs(d - s) < 0.09
 
 
-def test_phase_constant_matches_fullchain_peak_phase():
-    # On-bin, even detected bin, boresight: the chain's beamformed peak
-    # phase reproduces the analytic constant within 1e-2 rad (residual
-    # video term ~2e-3 rad at bin 8 remains).
-    s = build_scenario(rc_m=0.3)
-    s = build_scenario(rc_m=0.3, tau_rts_s=on_bin_tau_rts(s, 8))
-    a = beamform(range_spectrum(s), s)
-    got = np.angle(a.values[a.peak_index])
-    assert abs(wrap_phase(got - closed_form_phase(s))) < 1e-2
+def test_phase_constant_matches_fullchain_peak_phase(boresight):
+    # Boresight and off-bin (B*tau = 6.67 bins): every element carries
+    # element 0's value, so at each zero-padding the beamformed peak phase
+    # is closed_form_phase at the detected bin of the padded DFT, within
+    # the derived rounding bound.
+    for zero_pad in (1, 2, 4):
+        rspec = range_spectrum(boresight, zero_pad)
+        a = beamform(rspec, boresight)
+        got = float(np.angle(a.values[a.peak_index]))
+        want = closed_form_phase(boresight, rspec.peak_bin, rspec.spectrum.shape[-1])
+        assert abs(wrap_phase(got - want)) <= peak_phase_tolerance(
+            boresight, a, zero_pad), zero_pad
+
+
+def test_phase_constant_follows_range_compensated_points():
+    # The extra return path of a range-compensated point reaches the phase
+    # through the chain's tones.  Off boresight the centring terms are taken
+    # at fc, not at fc*bin_phase_frequency_scale: 3e-3 rad at d = 0.1 m,
+    # inside the 1e-2 rad bin-phase-gradient envelope.
+    probe = build_scenario()
+    base = build_scenario(tau_rts_s=on_bin_tau_rts(probe, 7))
+    for d in (0.0, 0.05, 0.1):
+        s = displaced(base, d, True)
+        rspec = range_spectrum(s)
+        chain = np.angle(_steer(rspec.peak_values, s, np.zeros(1))[0])
+        want = closed_form_phase(s, rspec.peak_bin, s.chirp.ns)
+        assert abs(wrap_phase(chain - want)) <= 1e-2, d
 
 
 def test_peak_separation_near_vs_grating():
@@ -153,10 +186,10 @@ def test_peak_separation_flat_spectrum():
 
 
 def test_spectrum_dataclass_and_csv(tmp_path, baseline):
-    cf = closed_form_spectrum(baseline, "dirichlet")
+    cf = closed_form_spectrum(baseline, "dirichlet", 7, 1024)
     assert cf.mode == "dirichlet"
     assert cf.angles_rad.size == baseline.grid.n_points
-    assert cf.phase_rad == closed_form_phase(baseline)
+    assert cf.phase_rad == closed_form_phase(baseline, 7, 1024)
     path = tmp_path / "cf.csv"
     write_closed_form_csv(cf, path)
     with open(path, newline="") as fh:

@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from golden import regen
 from golden.regen import CASES, HERE, NUMPY_VERSION, transcript, write_configs
 
 GOLDEN_NUMPY = NUMPY_VERSION.read_text(encoding="utf-8").strip()
@@ -58,3 +59,22 @@ def test_float_tolerant_comparison():
     assert not same_up_to_float_bits(want.replace("1x4", "2x4"), want)
     assert not same_up_to_float_bits(want.replace("deg", "rad"), want)
     assert not same_up_to_float_bits(want + "extra\n", want)
+
+
+def test_regen_refuses_an_unpinned_numpy(tmp_path, monkeypatch):
+    # Stale stand-ins, so a write is seen even where it would reproduce the
+    # committed bytes.
+    for name in CASES:
+        (tmp_path / f"{name}.txt").write_text("stale\n", encoding="utf-8")
+    pin = tmp_path / "NUMPY_VERSION"
+    pin.write_text(GOLDEN_NUMPY + "\n", encoding="utf-8")
+    monkeypatch.setattr(regen, "HERE", tmp_path)
+    monkeypatch.setattr(regen, "NUMPY_VERSION", pin)
+    monkeypatch.setattr(np, "__version__", "1.26.4")
+    with pytest.raises(SystemExit) as exc:
+        regen.regenerate()
+    assert "numpy 1.26.4" in str(exc.value)
+    assert f"numpy {GOLDEN_NUMPY}" in str(exc.value)
+    assert pin.read_text(encoding="utf-8") == GOLDEN_NUMPY + "\n"
+    for name in CASES:
+        assert (tmp_path / f"{name}.txt").read_text(encoding="utf-8") == "stale\n"

@@ -352,7 +352,8 @@ def test_dense_grid_never_exceeds_its_step():
     (-48, 57, 0.002), (-1, 1, 0.001), (0.3, 89.7, 0.001), (-17.5, -2.25, 0.05)])
 def test_angles_at_reproduces_the_grid(bounds):
     g = AngleGrid.from_degrees(*bounds)
-    dense = g.angles_rad()
+    dense = np.linspace(g.min_rad, g.max_rad, g.n_points)
+    assert g.angles_rad().tobytes() == dense.tobytes()
     idx = np.arange(g.n_points)
     assert g.angles_at(idx).tobytes() == dense.tobytes()
     some = idx[::97]
