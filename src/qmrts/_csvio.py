@@ -14,16 +14,16 @@ the first half, reaps the child and appends its bytes.  Both halves go
 through the same "%" row templates, so the file is byte for byte the one
 a single process writes.  The child only formats strings, writes its
 file and leaves through os._exit: it takes no lock that another thread
-(such as numpy's BLAS workers) may hold.  An exception in either half
-reaches the caller as itself; where no child can be forked, or its exit
-status is lost, one process writes every block.
+(such as numpy's BLAS workers) may hold.  The parent uses the child's
+bytes only if the child exited with status 0; in every other case it
+formats the second half itself, so a split dump ends as a one-process
+dump ends, with the same bytes or the same exception.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import pickle
 
 import numpy as np
 
@@ -94,12 +94,12 @@ def _can_split() -> bool:
 def _split_rows(blocks, fh, path) -> None:
     """Write the rows of blocks to fh, the second half formatted by a child.
 
-    The child writes its rows, or the pickled exception that stopped it,
-    to an anonymous temporary file in path's directory and leaves through
-    os._exit, so it runs no exit handler and flushes no stdio buffer.
-    The parent raises that exception as its own.  If no child can be
-    forked, or another reaper takes its exit status (SIGCHLD ignored,
-    say), the parent formats the second half itself.
+    The child writes its rows to an anonymous temporary file in path's
+    directory and leaves through os._exit, so it runs no exit handler and
+    flushes no stdio buffer.  The parent appends that file only if the
+    child exited with status 0, and otherwise formats the second half
+    itself: no fork, a failed or killed child, or a status lost to
+    another reaper.
     """
     import signal
     import tempfile
@@ -109,36 +109,31 @@ def _split_rows(blocks, fh, path) -> None:
         try:
             pid = os.fork()
         except OSError:
-            _rows(blocks, fh.write)
-            return
+            pid = None
         if pid == 0:
             status = 1
             try:
-                try:
-                    _rows(blocks[half:], tail.write)
-                    status = 0
-                except BaseException as exc:
-                    tail.seek(0)
-                    tail.truncate()
-                    pickle.dump(exc, tail)
+                _rows(blocks[half:], tail.write)
                 tail.flush()
+                status = 0
             finally:
                 os._exit(status)
         try:
             _rows(blocks[:half], fh.write)
         except BaseException:
-            os.kill(pid, signal.SIGKILL)
+            if pid:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    _reap(pid)
+                except ProcessLookupError:  # already reaped elsewhere
+                    pass
             raise
-        finally:
-            status = _reap(pid)
-        if status is None:
+        if pid and _reap(pid) == 0:
+            tail.seek(0)
+            while chunk := tail.read(1 << 16):
+                fh.write(chunk)
+        else:
             _rows(blocks[half:], fh.write)
-            return
-        tail.seek(0)
-        if status:
-            raise _child_error(tail.read(), status, path)
-        while chunk := tail.read(1 << 16):
-            fh.write(chunk)
 
 
 def _reap(pid):
@@ -147,21 +142,6 @@ def _reap(pid):
         return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     except ChildProcessError:
         return None
-
-
-def _child_error(payload: bytes, status: int, path) -> BaseException:
-    """The exception a failed child pickled, or an OSError naming how it ended."""
-    import signal
-
-    try:
-        exc = pickle.loads(payload)
-    except Exception:
-        exc = None
-    if isinstance(exc, BaseException):
-        return exc
-    how = (f"exited with status {status}" if status > 0 else
-           f"was killed by signal {-status} ({signal.strsignal(-status)})")
-    return OSError(f"the process writing the second half of {path} {how}")
 
 
 def _rows(blocks, write) -> None:

@@ -6,20 +6,20 @@ the echo lands at bin B*tau.  The residual video term -(B/(2T))*tau^2 is
 retained so the synthesized chain matches the analytical bin phase rather
 than an idealization.
 
-One private row loop, _element_rows, runs the whole chain one virtual
-element at a time: it synthesizes an element's beat row, transforms it
-and adds its power to the detection sum.  Two functions sit on it.
-range_spectrum stores every row, so at its peak it holds one range
-spectrum plus one row.  range_peak keeps only a few bins around the
-elements' beat bins, which is all beamforming reads, so it holds one row
-plus that window.  No beat cube is ever built.
+One private row loop, _range_bins, runs the whole chain one virtual
+element at a time: it synthesizes an element's beat row in one scratch
+row, transforms it into another, adds its power to the detection sum
+and keeps a range of its bins.  Two functions sit on it.  range_spectrum
+keeps every bin, so at its peak it holds one range spectrum plus the two
+rows.  range_peak keeps only a few bins around the elements' beat bins,
+which is all beamforming reads, so it holds the two rows plus that
+window.  No beat cube is ever built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -61,24 +61,27 @@ def beat_phases(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
                    - (c.b_hz / c.t_s / 2.0) * tau**2)
 
 
-def _element_rows(s: Scenario, fbeat, const, outs, power):
+def _range_bins(s: Scenario, fbeat, const, n: int, lo: int, hi: int) -> RangeSpectrum:
     """Synthesize and transform every element's beat row, in (i, j) order.
 
-    Each row's DFT is written into the next of outs and yielded, after its
-    power is added to power: the running sum in (i, j) order is the order
-    numpy's sum(|spec|^2, axis=(0, 1)) adds in.  This loop is the one
-    place the beat signal is synthesized and transformed.
+    Each row's n-point DFT is made in one scratch row, its power is added
+    to the detection sum and its bins [lo, hi) are kept.  The running sum
+    in (i, j) order is the order numpy's sum(|spec|^2, axis=(0, 1)) adds
+    in.  This loop is the one place the beat signal is synthesized and
+    transformed.
     """
     c = s.chirp
-    n = power.size
     t = np.arange(c.ns) * (c.t_s / c.ns)
+    kept = np.empty((s.array.ntx, s.array.nrx, hi - lo), dtype=complex)
+    power = np.zeros(n)
     row_power = np.empty(n)
     phase = np.empty_like(t)
     row = np.empty(c.ns, dtype=complex)
+    out = np.empty(n, dtype=complex)
     # A * exp(1j * (2*pi * (const + fbeat*t))) with the same ufuncs and
     # operand order as the one-expression cube, so the same bits, each step
     # written into the row buffers.
-    for f, k, out in zip(fbeat.flat, const.flat, outs):
+    for f, k, cut in zip(fbeat.flat, const.flat, kept.reshape(-1, hi - lo)):
         np.multiply(f, t, out=phase)
         np.add(k, phase, out=phase)
         np.multiply(2.0 * np.pi, phase, out=phase)
@@ -87,7 +90,8 @@ def _element_rows(s: Scenario, fbeat, const, outs, power):
         np.multiply(s.rts.amplitude, row, out=row)
         np.fft.fft(row, n=n, out=out)
         power += np.square(np.abs(out, out=row_power), out=row_power)
-        yield out
+        cut[:] = out[lo:hi]
+    return RangeSpectrum(spectrum=kept, peak_bin=int(np.argmax(power)), first_bin=lo)
 
 
 def range_spectrum(s: Scenario, zero_pad: int = 1) -> RangeSpectrum:
@@ -112,11 +116,7 @@ def range_spectrum(s: Scenario, zero_pad: int = 1) -> RangeSpectrum:
         raise ValueError(f"zero_pad must be a power of two (got {zero_pad})")
     fbeat, const = beat_phases(s)
     n = s.chirp.ns * zero_pad
-    spec = np.empty((s.array.ntx, s.array.nrx, n), dtype=complex)
-    power = np.zeros(n)
-    for _ in _element_rows(s, fbeat, const, spec.reshape(-1, n), power):
-        pass
-    return RangeSpectrum(spectrum=spec, peak_bin=int(np.argmax(power)))
+    return _range_bins(s, fbeat, const, n, 0, n)
 
 
 def _peak_window(s: Scenario, fbeat) -> tuple[int, int]:
@@ -139,17 +139,11 @@ def range_peak(s: Scenario) -> RangeSpectrum:
     instead.
     """
     fbeat, const = beat_phases(s)
-    n = s.chirp.ns
     lo, hi = _peak_window(s, fbeat)
-    window = np.empty((s.array.ntx, s.array.nrx, hi - lo), dtype=complex)
-    power = np.zeros(n)
-    rows = _element_rows(s, fbeat, const, repeat(np.empty(n, dtype=complex)), power)
-    for row, cut in zip(rows, window.reshape(-1, hi - lo)):
-        cut[:] = row[lo:hi]
-    peak_bin = int(np.argmax(power))
-    if not lo <= peak_bin < hi:
+    r = _range_bins(s, fbeat, const, s.chirp.ns, lo, hi)
+    if not lo <= r.peak_bin < hi:
         return range_spectrum(s)
-    return RangeSpectrum(spectrum=window, peak_bin=peak_bin, first_bin=lo)
+    return r
 
 
 def bin_phase_frequency_scale(s: Scenario) -> float:

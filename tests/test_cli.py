@@ -281,20 +281,47 @@ def test_simulate_prints_each_line_once_to_a_file(tmp_path):
 
 @pytest.mark.parametrize("half", ["parent", "child"])
 def test_dump_error_exits_2_from_either_half(cfg_path, tmp_path, capsys, monkeypatch, half):
-    # A formatting error in the forked writer's half reaches the command
-    # as itself, so the exit code does not depend on which half failed.
-    if half == "child" and not _csvio._can_split():
-        pytest.skip("the split needs os.fork and a second CPU")
+    # A formatting error in either half of the forked writer reaches the
+    # command as itself, so the exit code does not depend on which half
+    # failed.  The first half fails in the parent process; the second
+    # fails on the range dump's last element, (1, 3) of the 2x4 board, in
+    # whichever process formats it.
     parent, rows = os.getpid(), _csvio._rows
 
     def failing_rows(blocks, write):
-        if (os.getpid() == parent) == (half == "parent"):
+        if half == "parent":
+            fails = os.getpid() == parent
+        else:
+            fails = any(cols[0].ndim == 0 and [c.item() for c in cols[:2]] == [1, 3]
+                        for cols, _ in blocks)
+        if fails:
             raise ValueError("a cell failed to format")
         rows(blocks, write)
 
     monkeypatch.setattr(_csvio, "_rows", failing_rows)
     assert main(["simulate", str(cfg_path), str(tmp_path / "out")]) == 2
     assert "error: a cell failed to format\n" in capsys.readouterr().err
+
+
+def test_dump_error_only_in_child_is_written_in_process(cfg_path, tmp_path, monkeypatch):
+    # The parent formats the second half itself when the child fails, so
+    # the command succeeds with the bytes one process writes.
+    if not _csvio._can_split():
+        pytest.skip("the split needs os.fork and a second CPU")
+    with monkeypatch.context() as m:
+        m.setattr(_csvio, "_can_split", lambda: False)
+        assert main(["simulate", str(cfg_path), str(tmp_path / "one")]) == 0
+    parent, rows = os.getpid(), _csvio._rows
+
+    def failing_rows(blocks, write):
+        if os.getpid() != parent:
+            raise ValueError("a cell failed to format")
+        rows(blocks, write)
+
+    monkeypatch.setattr(_csvio, "_rows", failing_rows)
+    assert main(["simulate", str(cfg_path), str(tmp_path / "split")]) == 0
+    for name in ("range_spectrum.csv", "angle_spectrum.csv", "closed_form_spectrum.csv"):
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_sweep_requires_section(cfg_path, tmp_path, capsys):

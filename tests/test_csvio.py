@@ -153,14 +153,6 @@ def assert_no_child_and_no_stray_file(tmp_path):
 
 
 @needs_split
-def test_failure_in_child_half_raises_in_parent(tmp_path):
-    # The child's exception comes back as itself, as it would in one process.
-    with pytest.raises(ValueError, match="a cell failed to format"):
-        write_blocks(tmp_path / "t.csv", ["x"], segments({3: Cell(True)}))
-    assert_no_child_and_no_stray_file(tmp_path)
-
-
-@needs_split
 def test_failure_in_parent_half_propagates_and_reaps_child(tmp_path):
     # The child's half stalls; the parent kills it rather than wait.
     started = time.monotonic()
@@ -171,24 +163,70 @@ def test_failure_in_parent_half_propagates_and_reaps_child(tmp_path):
     assert_no_child_and_no_stray_file(tmp_path)
 
 
+class LateFailure:
+    """An object cell whose str() raises after a second."""
+
+    def __str__(self):
+        time.sleep(1)
+        raise ValueError("a cell failed to format")
+
+
+def raise_in_child():
+    raise ValueError("the child's half failed")
+
+
+def kill_child():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+# Cells by segment, what every process but the test's own does before it
+# formats rows, and whether SIGCHLD is ignored, so that the kernel reaps
+# the child and its exit status is lost.
+CHILD_CASES = {
+    "child-exits-0": ({}, None, False),
+    "cell-fails-in-second-half": ({3: Cell(True)}, None, False),
+    "fails-only-in-child": ({}, raise_in_child, False),
+    "child-killed": ({}, kill_child, False),
+    "sigchld-ignored": ({}, None, True),
+    # The child is gone before the parent's half fails.
+    "sigchld-ignored-first-half-fails": ({1: LateFailure()}, None, True),
+}
+
+
 @needs_split
-def test_child_killed_by_a_signal_is_named(tmp_path, monkeypatch):
-    # A child that dies before it can pickle an exception leaves only its
-    # wait status; the OSError names the signal, not a negative status.
-    parent, rows = os.getpid(), _csvio._rows
+@pytest.mark.parametrize("case", CHILD_CASES)
+def test_every_child_outcome_ends_as_a_one_process_write(tmp_path, monkeypatch, case):
+    # Whatever becomes of the child, the split dump ends as a one-process
+    # dump ends: the same bytes, or the same exception type and message.
+    cells, in_child, ignore_sigchld = CHILD_CASES[case]
+    if in_child:
+        parent, rows = os.getpid(), _csvio._rows
 
-    def killed_rows(blocks, write):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        rows(blocks, write)
+        def child_rows(blocks, write):
+            if os.getpid() != parent:
+                in_child()
+            rows(blocks, write)
 
-    monkeypatch.setattr(_csvio, "_rows", killed_rows)
+        monkeypatch.setattr(_csvio, "_rows", child_rows)
     path = tmp_path / "t.csv"
-    with pytest.raises(OSError) as info:
-        write_blocks(path, ["x"], segments({}))
-    assert str(info.value) == (
-        f"the process writing the second half of {path} was killed by "
-        f"signal {int(signal.SIGKILL)} ({signal.strsignal(signal.SIGKILL)})")
+
+    def outcome():
+        try:
+            write_blocks(path, ["x"], segments(cells))
+        except Exception as exc:
+            return type(exc), str(exc)
+        return path.read_bytes()
+
+    with monkeypatch.context() as m:
+        m.setattr(_csvio, "_can_split", lambda: False)
+        want = outcome()
+    old = signal.getsignal(signal.SIGCHLD)
+    if ignore_sigchld:
+        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert outcome() == want
+    finally:
+        signal.signal(signal.SIGCHLD, old)
     assert_no_child_and_no_stray_file(tmp_path)
 
 
@@ -230,20 +268,6 @@ def test_without_a_child_every_block_is_written_in_process(tmp_path, monkeypatch
         monkeypatch.setattr(os, "fork", fork_forbidden, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert written(tmp_path, columns) == reference_csv(columns)
-
-
-@needs_split
-def test_child_reaped_elsewhere_is_written_in_process(tmp_path):
-    # With SIGCHLD ignored the kernel reaps the child, so its exit status
-    # is lost and the parent writes the second half itself.
-    n = 3 * _BLOCK_ROWS + 7
-    columns = {"k": np.arange(n), "re": random_doubles(n, 6), "mode": "sinc"}
-    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        assert written(tmp_path, columns) == reference_csv(columns)
-    finally:
-        signal.signal(signal.SIGCHLD, old)
-    assert_no_child_and_no_stray_file(tmp_path)
 
 
 SIMULATE_CASES = [name for name in CASES if name.startswith("simulate")]
