@@ -25,8 +25,7 @@ import numpy as np
 
 from ._csvio import magnitude_db, write_csv
 from .beamformer import _coarse_to_fine
-from .scenario import FINE_STEP_DEG, Scenario
-from .signal_chain import beat_phases
+from .scenario import FINE_STEP_DEG, Scenario, beat_tones
 
 MODES = ("sinc", "dirichlet")
 
@@ -82,7 +81,7 @@ def closed_form_spectrum(s: Scenario, mode: str, k: int, n: int) -> ClosedFormSp
 def closed_form_phase(s: Scenario, k: int, n: int) -> float:
     """Phase at alpha = 0 at bin k of the n-point range DFT, mod 2*pi.
 
-    Element 0's row A*exp(j*2*pi*(c0 + f0*t_n)) (signal_chain.beat_phases)
+    Element 0's row A*exp(j*2*pi*(c0 + f0*t_n)) (scenario.beat_tones)
     sums at bin k to A*exp(j*2*pi*[c0 + (Ns-1)*x0/2]) times a kernel positive
     within a bin of the tone, x0 = f0*T/Ns - k/n.  Summing the elements adds
     (dtx*(Ntx-1)*sin(theta_rx) + drx*(Nrx-1)*sin(theta_tx))/(2*lambda) cycles
@@ -90,7 +89,7 @@ def closed_form_phase(s: Scenario, k: int, n: int) -> float:
     """
     c, a, r = s.chirp, s.array, s.rts
     lam = s.wavelength_m
-    fbeat, const = beat_phases(s)
+    fbeat, const = beat_tones(s)
     x0 = float(fbeat[0, 0]) * c.t_s / c.ns - k / n
     cycles = (float(const[0, 0]) + (c.ns - 1) * x0 / 2.0
               + a.dtx_m / (2.0 * lam) * (a.ntx - 1) * math.sin(r.theta_rx_rad)

@@ -211,23 +211,26 @@ class Scenario:
         return warnings
 
 
-def beat_tones(s: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every virtual element's beat tone and delays, each (Ntx, Nrx):
-    fbeat = (B/T)*tau [Hz], the free-space round trip tau_c = tau_tx + tau_rx
-    and the total delay tau = tau_c + tau_rts [s].  The one Nyquist check:
-    raises ValidationError if the largest tone reaches half the sample
-    rate, a NaN delay included."""
-    c = s.chirp
+def beat_tones(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Every virtual element's beat tone fbeat = (B/T)*tau [Hz] and phase
+    constant const = fc*tau_c + f_rts*tau_rts - (B/(2T))*tau^2 [cycles],
+    each (Ntx, Nrx), with tau_c = tau_tx + tau_rx the free-space round trip
+    and tau = tau_c + tau_rts the total delay: the element's beat row is
+    A*exp(j*2*pi*(const + fbeat*t_n)).  The one Nyquist check: raises
+    ValidationError if the largest tone reaches half the sample rate, a
+    NaN delay included."""
+    c, r = s.chirp, s.rts
     tau_tx, tau_rx = element_delays(s)
     tau_c = tau_tx + tau_rx
-    tau = tau_c + s.rts.tau_rts_s
+    tau = tau_c + r.tau_rts_s
     fbeat = (c.b_hz / c.t_s) * tau
     fs, fb = s.sample_rate_hz, np.max(fbeat)
     if not fb < fs / 2.0:
         raise ValidationError(
             f"sample rate {fs:.6g} Hz does not exceed twice the maximum beat frequency "
             f"{fb:.6g} Hz (Nyquist); increase ns or reduce delays")
-    return fbeat, tau_c, tau
+    return fbeat, (c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s
+                   - (c.b_hz / c.t_s / 2.0) * tau**2)
 
 
 REQUIRED = object()   # default of a key the config must give

@@ -7,13 +7,14 @@ retained so the synthesized chain matches the analytical bin phase rather
 than an idealization.
 
 One private row loop, _range_bins, runs the whole chain one virtual
-element at a time: it synthesizes an element's beat row in one scratch
-row, transforms it into another, adds its power to the detection sum
-and keeps a range of its bins.  Two functions sit on it.  range_spectrum
-keeps every bin, so at its peak it holds one range spectrum plus the two
-rows.  range_peak keeps only a few bins around the elements' beat bins,
-which is all beamforming reads, so it holds the two rows plus that
-window.  No beat cube is ever built.
+element at a time: it synthesizes an element's beat row from its tone
+and phase constant (scenario.beat_tones), transforms it, adds its power
+to the detection sum and keeps a range of its bins.  Two functions sit
+on it.  range_spectrum keeps every bin, so at its peak it holds one
+range spectrum plus a row's temporaries.  range_peak keeps only a few
+bins around the elements' beat bins, which is all beamforming reads, so
+it holds a row's temporaries plus that window.  No beat cube is ever
+built.
 """
 
 from __future__ import annotations
@@ -51,46 +52,24 @@ class RangeSpectrum:
         return self.spectrum[:, :, self.peak_bin - self.first_bin]
 
 
-def beat_phases(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Each element's beat tone fbeat [Hz] and phase constant
-    const = fc*tau_c + f_rts*tau_rts - (B/(2T))*tau^2 [cycles], (Ntx, Nrx),
-    from beat_tones: its row is A*exp(j*2*pi*(const + fbeat*t_n))."""
-    fbeat, tau_c, tau = beat_tones(s)
-    c, r = s.chirp, s.rts
-    return fbeat, (c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s
-                   - (c.b_hz / c.t_s / 2.0) * tau**2)
-
-
 def _range_bins(s: Scenario, fbeat, const, n: int, lo: int, hi: int) -> RangeSpectrum:
     """Synthesize and transform every element's beat row, in (i, j) order.
 
-    Each row's n-point DFT is made in one scratch row, its power is added
-    to the detection sum and its bins [lo, hi) are kept.  The running sum
-    in (i, j) order is the order numpy's sum(|spec|^2, axis=(0, 1)) adds
-    in.  This loop is the one place the beat signal is synthesized and
-    transformed.
+    Each row's n-point DFT has its power added to the detection sum and
+    its bins [lo, hi) kept.  The running sum in (i, j) order is the order
+    numpy's sum(|spec|^2, axis=(0, 1)) adds in.  This loop is the one
+    place the beat signal is synthesized and transformed.
     """
     c = s.chirp
     t = np.arange(c.ns) * (c.t_s / c.ns)
     kept = np.empty((s.array.ntx, s.array.nrx, hi - lo), dtype=complex)
     power = np.zeros(n)
-    row_power = np.empty(n)
-    phase = np.empty_like(t)
-    row = np.empty(c.ns, dtype=complex)
-    out = np.empty(n, dtype=complex)
-    # A * exp(1j * (2*pi * (const + fbeat*t))) with the same ufuncs and
-    # operand order as the one-expression cube, so the same bits, each step
-    # written into the row buffers.
     for f, k, cut in zip(fbeat.flat, const.flat, kept.reshape(-1, hi - lo)):
-        np.multiply(f, t, out=phase)
-        np.add(k, phase, out=phase)
-        np.multiply(2.0 * np.pi, phase, out=phase)
-        np.multiply(1j, phase, out=row)
-        np.exp(row, out=row)
-        np.multiply(s.rts.amplitude, row, out=row)
-        np.fft.fft(row, n=n, out=out)
-        power += np.square(np.abs(out, out=row_power), out=row_power)
-        cut[:] = out[lo:hi]
+        row = np.exp(2j * np.pi * (k + f * t))
+        row *= s.rts.amplitude
+        spec = np.fft.fft(row, n=n)
+        power += np.abs(spec) ** 2
+        cut[:] = spec[lo:hi]
     return RangeSpectrum(spectrum=kept, peak_bin=int(np.argmax(power)), first_bin=lo)
 
 
@@ -114,7 +93,7 @@ def range_spectrum(s: Scenario, zero_pad: int = 1) -> RangeSpectrum:
     """
     if zero_pad < 1 or zero_pad & (zero_pad - 1):
         raise ValueError(f"zero_pad must be a power of two (got {zero_pad})")
-    fbeat, const = beat_phases(s)
+    fbeat, const = beat_tones(s)
     n = s.chirp.ns * zero_pad
     return _range_bins(s, fbeat, const, n, 0, n)
 
@@ -138,7 +117,7 @@ def range_peak(s: Scenario) -> RangeSpectrum:
     the power sum peaks outside the window, the whole spectrum is made
     instead.
     """
-    fbeat, const = beat_phases(s)
+    fbeat, const = beat_tones(s)
     lo, hi = _peak_window(s, fbeat)
     r = _range_bins(s, fbeat, const, s.chirp.ns, lo, hi)
     if not lo <= r.peak_bin < hi:

@@ -5,6 +5,7 @@ import pytest
 
 from qmrts import (AngleGrid, ChirpConfig, RadarArrayConfig, RtsChannelConfig,
                    Scenario)
+from qmrts.propagation import element_delays
 from qmrts.scenario import beat_tones
 
 EPS = np.finfo(float).eps
@@ -72,9 +73,12 @@ def on_bin_tau_rts(s: Scenario, k: int) -> float:
 def phase_constants(s: Scenario) -> np.ndarray:
     """Each element's beat phase constant (Ntx, Nrx) [cycles]:
     fc*tau_c + f_rts*tau_rts - (B/(2T))*tau^2, the last the residual video
-    term, with tau_c the free-space round trip and tau = tau_c + tau_rts."""
+    term, with tau_c the free-space round trip and tau = tau_c + tau_rts,
+    built from the element delays, not from scenario.beat_tones."""
     c, r = s.chirp, s.rts
-    _, tau_c, tau = beat_tones(s)
+    tau_tx, tau_rx = element_delays(s)
+    tau_c = tau_tx + tau_rx
+    tau = tau_c + r.tau_rts_s
     return (c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s
             - (c.b_hz / (2.0 * c.t_s)) * tau**2)
 

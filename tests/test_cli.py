@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from qmrts import (_csvio, beamform, cli, emit_results, experiment, load_sweep_spec_file,
-                   run_sweep, signal_chain)
+from qmrts import (_csvio, beamform, cli, closed_form, emit_results, experiment,
+                   load_sweep_spec_file, run_sweep, signal_chain)
 from qmrts.cli import main
 from qmrts.experiment import SweepSpec
 from conftest import BASELINE_CFG
@@ -472,6 +472,7 @@ def test_bad_zero_pad_synthesizes_no_row(cfg_path, tmp_path, monkeypatch, capsys
         return tones[-1]
     beat_tones = signal_chain.beat_tones
     monkeypatch.setattr(signal_chain, "beat_tones", spy)
+    monkeypatch.setattr(closed_form, "beat_tones", spy)
     out_dir = tmp_path / "out"
     assert main(["simulate", str(cfg_path), str(out_dir), "--zero-pad", "3"]) == 2
     assert capsys.readouterr().err == "error: zero_pad must be a power of two (got 3)\n"
@@ -480,7 +481,7 @@ def test_bad_zero_pad_synthesizes_no_row(cfg_path, tmp_path, monkeypatch, capsys
     # closed-form phase once, for the 2x2 subset.
     assert main(["simulate", str(cfg_path), str(out_dir), "--zero-pad", "2",
                  "--subset", "2x2"]) == 0
-    assert [fbeat.shape for fbeat, _, _ in tones] == [(2, 4), (2, 2)]
+    assert [fbeat.shape for fbeat, _ in tones] == [(2, 4), (2, 2)]
 
 
 @pytest.mark.parametrize("option, code", [(["--subset", "9x9"], 1),

@@ -110,7 +110,8 @@ def test_removed_api_is_gone():
                          ("emit_scenario", scenario),
                          ("_degrees_exact", scenario),
                          ("max_total_delay_s", scenario.Scenario),
-                         ("max_beat_frequency_hz", scenario.Scenario)):
+                         ("max_beat_frequency_hz", scenario.Scenario),
+                         ("beat_phases", signal_chain)):
         assert not hasattr(qmrts, name), name
         assert not hasattr(module, name), name
     assert cli.AMBIGUITY_GAP_DB == 6.0

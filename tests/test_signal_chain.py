@@ -390,8 +390,8 @@ def test_range_spectrum_holds_no_beat_cube():
 
 
 def test_range_peak_holds_a_few_rows_whatever_the_element_count():
-    # The row buffers, the two power sums and the FFT's own work buffer; the
-    # 4x16 board's spectrum would be 64 rows.
+    # One row and its temporaries, the power sum and the FFT's own work
+    # buffer; the 4x16 board's spectrum would be 64 rows.
     for ntx, nrx in ((1, 1), (4, 16)):
         s = build_scenario(ntx=ntx, nrx=nrx, ns=4096, theta_tx_deg=1.0)
         _, peak = traced_peak(range_peak, s)
