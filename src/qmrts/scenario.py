@@ -151,35 +151,13 @@ class Scenario:
         a list of warnings (currently only the far-field check, which is
         advisory so the violation regime can still be studied).
         """
-        c, a, r, g = self.chirp, self.array, self.rts, self.grid
-        # Every check below is written so that NaN fails it.
-        for name, value in (
-                ("fc_hz", c.fc_hz), ("b_hz", c.b_hz), ("t_s", c.t_s),
-                ("dtx", a.dtx_m), ("drx", a.drx_m), ("rc_m", r.rc_m),
-                ("theta_rx_deg", r.theta_rx_rad), ("theta_tx_deg", r.theta_tx_rad),
-                ("tau_rts_s", r.tau_rts_s), ("f_rts_hz", r.f_rts_hz),
-                ("amplitude", r.amplitude),
-                ("extra_return_path_m", r.extra_return_path_m),
-                ("angle_min_deg", g.min_rad), ("angle_max_deg", g.max_rad),
-                ("angle_step_deg", g.step_rad)):
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite (got {value})")
-        for name, value in (("fc_hz", c.fc_hz), ("b_hz", c.b_hz), ("t_s", c.t_s),
-                            ("dtx", a.dtx_m), ("drx", a.drx_m), ("rc_m", r.rc_m),
-                            ("amplitude", r.amplitude)):
-            if not value > 0:
-                raise ValidationError(f"{name} must be > 0 (got {value})")
-        for name, value, low in (("ns", c.ns, 2), ("ntx", a.ntx, 1), ("nrx", a.nrx, 1),
-                                 ("tau_rts_s", r.tau_rts_s, 0),
-                                 ("f_rts_hz", r.f_rts_hz, 0)):
-            if not value >= low:
-                raise ValidationError(f"{name} must be >= {low} (got {value})")
-        half_pi = math.pi / 2
-        for name, theta in (("theta_rx_deg", r.theta_rx_rad),
-                            ("theta_tx_deg", r.theta_tx_rad)):
-            if not -half_pi <= theta <= half_pi:
-                raise ValidationError(
-                    f"{name} out of [-90, 90] (got {math.degrees(theta)})")
+        r, g = self.rts, self.grid
+        # Each key's bound in table order, then cross-field checks; NaN fails each.
+        for section, keys in _SCHEMA.items():
+            for key, (_, _, *rule) in keys.items():
+                if rule:
+                    _check(key.removesuffix("_lambda"), getattr(self, section), *rule)
+        _check("extra_return_path_m", r, "extra_return_path_m", None)
         if not r.rc_m + r.extra_return_path_m > 0:
             raise ValidationError("return path length must be > 0")
         if not g.step_rad > 0:
@@ -187,7 +165,7 @@ class Scenario:
         if not g.min_rad < g.max_rad:
             raise ValidationError("angle_min_deg must be < angle_max_deg")
         eps = 1e-12
-        if not (g.min_rad >= -half_pi - eps and g.max_rad <= half_pi + eps):
+        if not (g.min_rad >= -math.pi / 2 - eps and g.max_rad <= math.pi / 2 + eps):
             raise ValidationError("angle grid must lie within [-90, 90] deg")
         if not g.step_rad >= math.radians(FINE_STEP_DEG):
             raise ValidationError(
@@ -243,24 +221,46 @@ def _parse_bool(raw: str) -> bool:
     return low == "true"
 
 
-# Config schema: section -> key -> (converter, default).  A spacing key
-# defaults to None (absent): exactly one of each _m / _lambda pair must
-# be given.
+# Config schema: section -> key -> (converter, default[, field, bound]).
+# A scenario key also names the Scenario field it fills and its bound
+# (see _check); a spacing pair carries both on its _lambda key, and each
+# key of the pair defaults to None (absent): exactly one must be given.
 _SCHEMA = {
-    "chirp": {"fc_hz": (float, REQUIRED), "b_hz": (float, REQUIRED),
-              "t_s": (float, 100e-6), "ns": (int, 1024)},
-    "array": {"ntx": (int, REQUIRED), "nrx": (int, REQUIRED),
-              "dtx_m": (float, None), "dtx_lambda": (float, None),
-              "drx_m": (float, None), "drx_lambda": (float, None)},
-    "rts": {"rc_m": (float, REQUIRED), "theta_rx_deg": (float, 0.0),
-            "theta_tx_deg": (float, 0.0), "tau_rts_s": (float, 0.0),
-            "f_rts_hz": (float, 0.0), "amplitude": (float, 1.0)},
-    "grid": {"angle_min_deg": (float, -90.0), "angle_max_deg": (float, 90.0),
-             "angle_step_deg": (float, 0.01)},
+    "chirp": {"fc_hz": (float, REQUIRED, "fc_hz", (">", 0)),
+              "b_hz": (float, REQUIRED, "b_hz", (">", 0)),
+              "t_s": (float, 100e-6, "t_s", (">", 0)), "ns": (int, 1024, "ns", (">=", 2))},
+    "array": {"ntx": (int, REQUIRED, "ntx", (">=", 1)),
+              "nrx": (int, REQUIRED, "nrx", (">=", 1)),
+              "dtx_m": (float, None), "dtx_lambda": (float, None, "dtx_m", (">", 0)),
+              "drx_m": (float, None), "drx_lambda": (float, None, "drx_m", (">", 0))},
+    "rts": {"rc_m": (float, REQUIRED, "rc_m", (">", 0)),
+            "theta_rx_deg": (float, 0.0, "theta_rx_rad", "deg"),
+            "theta_tx_deg": (float, 0.0, "theta_tx_rad", "deg"),
+            "tau_rts_s": (float, 0.0, "tau_rts_s", (">=", 0)),
+            "f_rts_hz": (float, 0.0, "f_rts_hz", (">=", 0)),
+            "amplitude": (float, 1.0, "amplitude", (">", 0))},
+    "grid": {"angle_min_deg": (float, -90.0, "min_rad", None),
+             "angle_max_deg": (float, 90.0, "max_rad", None),
+             "angle_step_deg": (float, 0.01, "step_rad", None)},
     "sweep": {"d_max_m": (float, 0.1), "points": (int, 51),
               "subsets": (str, "2x4, 2x2, 1x4"),
               "range_compensation": (_parse_bool, True)},
 }
+
+
+def _check(name: str, part, field: str, bound) -> None:
+    """Raise ValidationError naming name unless part.field is finite and in
+    bound: (">", low), (">=", low), "deg" for a radian angle in [-90, 90]
+    deg, or None.  NaN fails every test; an int of any size compares."""
+    value = getattr(part, field)
+    if not -math.inf < value < math.inf:
+        raise ValidationError(f"{name} must be finite (got {value})")
+    if bound == "deg" and not -math.pi / 2 <= value <= math.pi / 2:
+        raise ValidationError(f"{name} out of [-90, 90] (got {math.degrees(value)})")
+    if isinstance(bound, tuple):
+        op, low = bound
+        if not (value > low if op == ">" else value >= low):
+            raise ValidationError(f"{name} must be {op} {low} (got {value})")
 
 
 def _parse_error(exc: configparser.Error) -> ConfigError:
@@ -316,11 +316,11 @@ def config_section(sections: dict[str, dict[str, object]],
     key, is a ConfigError; any other missing section counts as empty.
     """
     schema = _SCHEMA[name]
-    if name not in sections and any(d is REQUIRED for _, d in schema.values()):
+    if name not in sections and any(e[1] is REQUIRED for e in schema.values()):
         raise ConfigError(f"missing section [{name}]")
     given = sections.get(name, {})
     values = {}
-    for key, (_, default) in schema.items():
+    for key, (_, default, *_) in schema.items():
         values[key] = given.get(key, default)
         if values[key] is REQUIRED:
             raise ConfigError(f'missing key "{key}" in [{name}]')
@@ -336,14 +336,10 @@ def _resolve_spacing(values: dict, name: str, chirp: ChirpConfig) -> float:
         return values[key_m]
     # Spacings are resolved before validate() runs, so a carrier that
     # gives no finite, positive wavelength is named here.
-    fc = chirp.fc_hz
-    if not math.isfinite(fc):
-        raise ValidationError(f"fc_hz must be finite (got {fc})")
-    if not fc > 0:
-        raise ValidationError(f"fc_hz must be > 0 (got {fc})")
+    _check("fc_hz", chirp, *_SCHEMA["chirp"]["fc_hz"][2:])
     if not math.isfinite(chirp.wavelength_m):
         raise ValidationError(
-            f"fc_hz = {fc!r} is too small: the wavelength overflows")
+            f"fc_hz = {chirp.fc_hz!r} is too small: the wavelength overflows")
     return values[key_l] * chirp.wavelength_m
 
 

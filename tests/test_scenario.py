@@ -65,7 +65,7 @@ def test_readme_config_matches_schema():
         if not value:
             continue
         key = key.strip()
-        conv, default = _SCHEMA[section][key]
+        conv, default, *rule = _SCHEMA[section][key]
         note = re.search(r"\(default (\S+)\)", line)
         if note:
             assert conv(note.group(1)) == default, line
@@ -73,9 +73,17 @@ def test_readme_config_matches_schema():
             assert conv(value.strip()) == default, line
         else:
             assert default is REQUIRED or default is None, f"no default noted: {line}"
+        # A key with a bound shows it, as the bound's own text; others show none.
+        marks = re.findall(r"\(>=? \d+\)|\[-90, 90\]|\(finite\)", line)
+        if rule:
+            bound = rule[1]
+            assert marks == ["(finite)" if bound is None else "[-90, 90]" if bound == "deg"
+                             else "({} {})".format(*bound)], line
+        else:
+            assert marks == [], line
         shown.add((section, key))
     for section, keys in _SCHEMA.items():
-        for key, (_, default) in keys.items():
+        for key, (_, default, *_) in keys.items():
             if default is not REQUIRED and default is not None:
                 assert (section, key) in shown, f"[{section}] {key} not in README"
 
@@ -90,6 +98,37 @@ def test_ns_lower_bound_named(baseline_cfg):
     text = baseline_cfg.replace("ns = 1024", "ns = 1")
     with pytest.raises(ValidationError, match="ns must be >= 2"):
         load_scenario(text)
+
+
+BOUND_MESSAGES = [   # (line of BASELINE_CFG, its violating form, whole message)
+    ("fc_hz = 77e9", "fc_hz = 0", "fc_hz must be > 0 (got 0.0)"),
+    ("b_hz = 1e9", "b_hz = 0", "b_hz must be > 0 (got 0.0)"),
+    ("t_s = 100e-6", "t_s = 0", "t_s must be > 0 (got 0.0)"),
+    ("ns = 1024", "ns = 1", "ns must be >= 2 (got 1)"),
+    ("ntx = 2", "ntx = 0", "ntx must be >= 1 (got 0)"),
+    ("nrx = 4", "nrx = 0", "nrx must be >= 1 (got 0)"),
+    ("dtx_lambda = 2.0", "dtx_lambda = 0", "dtx must be > 0 (got 0.0)"),
+    ("dtx_lambda = 2.0", "dtx_m = 0", "dtx must be > 0 (got 0.0)"),
+    ("drx_lambda = 0.5", "drx_lambda = -1",
+     "drx must be > 0 (got -0.0038934085454545454)"),
+    ("rc_m = 1.0", "rc_m = 0", "rc_m must be > 0 (got 0.0)"),
+    ("theta_rx_deg = 0.0", "theta_rx_deg = 91",
+     "theta_rx_deg out of [-90, 90] (got 91.0)"),
+    ("theta_tx_deg = 2.0", "theta_tx_deg = -90.5",
+     "theta_tx_deg out of [-90, 90] (got -90.5)"),
+    ("tau_rts_s = 0.0", "tau_rts_s = -1e-9", "tau_rts_s must be >= 0 (got -1e-09)"),
+    ("f_rts_hz = 500e6", "f_rts_hz = -1", "f_rts_hz must be >= 0 (got -1.0)"),
+    ("amplitude = 1.0", "amplitude = 0", "amplitude must be > 0 (got 0.0)"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", BOUND_MESSAGES,
+                         ids=[new.split(" = ")[0] for _, new, _ in BOUND_MESSAGES])
+def test_bound_message_is_whole(baseline_cfg, old, new, message):
+    assert old in baseline_cfg
+    with pytest.raises(ValidationError) as exc:
+        load_scenario(baseline_cfg.replace(old, new))
+    assert str(exc.value) == message
 
 
 def test_theta_range_named(baseline_cfg):
@@ -220,9 +259,29 @@ def test_file_loaders_read_the_file(baseline_cfg, tmp_path):
     assert load_sweep_spec_file(str(path)) == load_sweep_spec(path.read_text())
 
 
-FLOAT_KEYS = ("fc_hz", "b_hz", "t_s", "dtx_lambda", "drx_lambda", "rc_m",
-              "theta_rx_deg", "theta_tx_deg", "tau_rts_s", "f_rts_hz",
-              "amplitude", "angle_min_deg", "angle_max_deg", "angle_step_deg")
+SCENARIO_KEYS = [(section, key) for section in ("chirp", "array", "rts", "grid")
+                 for key in _SCHEMA[section]]
+# The float keys that carry a bound: every float key of BASELINE_CFG.
+FLOAT_KEYS = tuple(key for section, key in SCENARIO_KEYS
+                   if _SCHEMA[section][key][0] is float and len(_SCHEMA[section][key]) == 4)
+
+
+@pytest.mark.parametrize("section, key", SCENARIO_KEYS, ids=[k for _, k in SCENARIO_KEYS])
+def test_every_scenario_key_has_an_invariant(baseline, baseline_cfg, section, key):
+    # A spacing's _m key has no bound of its own; its _lambda pair carries it.
+    owner = key if len(_SCHEMA[section][key]) == 4 else key.removesuffix("_m") + "_lambda"
+    _, _, field, bound = _SCHEMA[section][owner]
+    assert hasattr(getattr(baseline, section), field)
+    assert bound in (None, "deg") or (bound[0] in (">", ">=") and len(bound) == 2)
+    text, hits = re.subn(rf"^{owner} = .*$", f"{key} = nan", baseline_cfg, flags=re.M)
+    assert hits == 1
+    if _SCHEMA[section][key][0] is float:
+        name = owner.removesuffix("_lambda")
+        with pytest.raises(ValidationError, match=rf"^{name} must be finite \(got nan\)$"):
+            load_scenario(text)
+    else:
+        with pytest.raises(ConfigError, match=rf'^bad value for "{key}" in \[{section}\]'):
+            load_scenario(text)
 
 
 def _finite(lo, hi):
