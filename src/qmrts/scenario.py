@@ -11,6 +11,7 @@ import configparser
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -251,8 +252,12 @@ _SCHEMA = {
 def _check(name: str, part, field: str, bound) -> None:
     """Raise ValidationError naming name unless part.field is finite and in
     bound: (">", low), (">=", low), "deg" for a radian angle in [-90, 90]
-    deg, or None.  NaN fails every test; an int of any size compares."""
+    deg, or None.  NaN fails every test, as does an int too big for a float."""
     value = getattr(part, field)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large (got {value.bit_length()} bits)") from None
     if not -math.inf < value < math.inf:
         raise ValidationError(f"{name} must be finite (got {value})")
     if bound == "deg" and not -math.pi / 2 <= value <= math.pi / 2:
@@ -327,8 +332,9 @@ def config_section(sections: dict[str, dict[str, object]],
     return values
 
 
-def _resolve_spacing(values: dict, name: str, chirp: ChirpConfig) -> float:
-    key_m, key_l = f"{name}_m", f"{name}_lambda"
+def _resolve_spacing(values: dict, key_l: str, parts: dict) -> float:
+    """The spacing pair of key_l in meters; wavelengths take parts' chirp."""
+    key_m = key_l.removesuffix("_lambda") + "_m"
     if (values[key_m] is None) == (values[key_l] is None):
         raise ConfigError(
             f'exactly one of "{key_m}" or "{key_l}" must be given in [array]')
@@ -336,6 +342,7 @@ def _resolve_spacing(values: dict, name: str, chirp: ChirpConfig) -> float:
         return values[key_m]
     # Spacings are resolved before validate() runs, so a carrier that
     # gives no finite, positive wavelength is named here.
+    chirp = parts["chirp"]
     _check("fc_hz", chirp, *_SCHEMA["chirp"]["fc_hz"][2:])
     if not math.isfinite(chirp.wavelength_m):
         raise ValidationError(
@@ -344,32 +351,21 @@ def _resolve_spacing(values: dict, name: str, chirp: ChirpConfig) -> float:
 
 
 def scenario_from_config(sections: dict[str, dict[str, object]]) -> Scenario:
-    """Build a Scenario from parse_config output; invariants are not checked."""
-    chirp = ChirpConfig(**config_section(sections, "chirp"))
-
-    ar = config_section(sections, "array")
-    array = RadarArrayConfig(
-        ntx=ar["ntx"],
-        nrx=ar["nrx"],
-        dtx_m=_resolve_spacing(ar, "dtx", chirp),
-        drx_m=_resolve_spacing(ar, "drx", chirp),
-    )
-
-    rt = config_section(sections, "rts")
-    rts = RtsChannelConfig(
-        rc_m=rt["rc_m"],
-        theta_rx_rad=math.radians(rt["theta_rx_deg"]),
-        theta_tx_rad=math.radians(rt["theta_tx_deg"]),
-        tau_rts_s=rt["tau_rts_s"],
-        f_rts_hz=rt["f_rts_hz"],
-        amplitude=rt["amplitude"],
-    )
-
-    gr = config_section(sections, "grid")
-    grid = AngleGrid.from_degrees(
-        gr["angle_min_deg"], gr["angle_max_deg"], gr["angle_step_deg"])
-
-    return Scenario(chirp=chirp, array=array, rts=rts, grid=grid)
+    """Build a Scenario from parse_config output, each part from its _SCHEMA
+    section in table order: a key fills the field its entry names, a *_deg
+    key in radians, and a spacing pair resolves to meters at its _lambda
+    entry.  Invariants are not checked."""
+    parts = {}
+    for name, part in get_type_hints(Scenario).items():
+        values, fields = config_section(sections, name), {}
+        for key, (_, _, *rule) in _SCHEMA[name].items():
+            if key.endswith("_lambda"):
+                fields[rule[0]] = _resolve_spacing(values, key, parts)
+            elif rule:
+                value = values[key]
+                fields[rule[0]] = math.radians(value) if key.endswith("_deg") else value
+        parts[name] = part(**fields)
+    return Scenario(**parts)
 
 
 def load_scenario(text: str) -> Scenario:

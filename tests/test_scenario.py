@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmrts import (AngleGrid, ConfigError, ValidationError, load_scenario,
+from qmrts import (AngleGrid, ChirpConfig, ConfigError, RadarArrayConfig,
+                   RtsChannelConfig, Scenario, ValidationError, load_scenario,
                    load_scenario_file, load_sweep_spec_file, rts_displacement)
 from qmrts.experiment import load_sweep_spec
-from qmrts.scenario import _SCHEMA, REQUIRED, beat_tones
+from qmrts.scenario import (_SCHEMA, REQUIRED, beat_tones, parse_config,
+                            scenario_from_config)
 from qmrts.propagation import C0
 from qmrts.cli import main
 from conftest import build_scenario
@@ -161,6 +163,82 @@ def test_spacing_exactly_one_form(baseline_cfg):
     neither = baseline_cfg.replace("dtx_lambda = 2.0\n", "")
     with pytest.raises(ConfigError, match="dtx"):
         load_scenario(neither)
+
+
+EVERY_KEY_CFG = """\
+[chirp]
+fc_hz = 24e9
+b_hz = 2.5e8
+t_s = 50e-6
+ns = 512
+[array]
+ntx = 3
+nrx = 5
+{spacing}
+[rts]
+rc_m = 2.5
+theta_rx_deg = -10.0
+theta_tx_deg = 12.5
+tau_rts_s = 1e-8
+f_rts_hz = 3e8
+amplitude = 0.5
+[grid]
+angle_min_deg = -60
+angle_max_deg = 45
+angle_step_deg = 0.05
+"""
+SPACINGS = {"lambda": "dtx_lambda = 1.5\ndrx_lambda = 0.75",
+            "m": "dtx_m = 0.01\ndrx_m = 0.002"}
+
+
+@pytest.mark.parametrize("form", SPACINGS)
+def test_builder_fills_every_field_by_hand(form):
+    sections = parse_config(EVERY_KEY_CFG.format(spacing=SPACINGS[form]))
+    lam = C0 / 24e9
+    dtx, drx = (1.5 * lam, 0.75 * lam) if form == "lambda" else (0.01, 0.002)
+    expected = Scenario(
+        ChirpConfig(fc_hz=24e9, b_hz=2.5e8, t_s=50e-6, ns=512),
+        RadarArrayConfig(ntx=3, nrx=5, dtx_m=dtx, drx_m=drx),
+        RtsChannelConfig(rc_m=2.5, theta_rx_rad=math.radians(-10.0),
+                         theta_tx_rad=math.radians(12.5), tau_rts_s=1e-8,
+                         f_rts_hz=3e8, amplitude=0.5, extra_return_path_m=0.0),
+        AngleGrid(math.radians(-60.0), math.radians(45.0), math.radians(0.05)))
+    built = scenario_from_config(sections)
+    assert built == expected
+    assert repr(built) == repr(expected)   # ints stay ints
+    # Every key but the other spacing form is given, off its default.
+    for section in ("chirp", "array", "rts", "grid"):
+        for key, (_, default, *_) in _SCHEMA[section].items():
+            if key.startswith(("dtx", "drx")) and not key.endswith("_" + form):
+                assert key not in sections[section]
+            else:
+                assert sections[section][key] != default, key
+
+
+def _drop(text, *keys):
+    return re.sub(rf"^({'|'.join(keys)}) = .*\n", "", text, flags=re.M)
+
+
+BUILD_ERRORS = [   # (config, exception, whole message): the first fault in build order
+    (_drop(EVERY_KEY_CFG.format(spacing=SPACINGS["lambda"] + "\ndtx_m = 0.01"), "rc_m"),
+     ConfigError, 'exactly one of "dtx_m" or "dtx_lambda" must be given in [array]'),
+    (_drop(EVERY_KEY_CFG.format(spacing=SPACINGS["lambda"]), "rc_m").replace(
+        "fc_hz = 24e9", "fc_hz = 0"), ValidationError, "fc_hz must be > 0 (got 0.0)"),
+    (_drop(EVERY_KEY_CFG.format(spacing=SPACINGS["lambda"]), "fc_hz", "drx_lambda"),
+     ConfigError, 'missing key "fc_hz" in [chirp]'),
+    (EVERY_KEY_CFG.format(spacing=SPACINGS["lambda"]).replace("fc_hz = 24e9",
+                                                              "fc_hz = 1e-320"),
+     ValidationError, "fc_hz = 1e-320 is too small: the wavelength overflows"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", BUILD_ERRORS,
+                         ids=["both_dtx", "zero_fc", "no_fc", "tiny_fc"])
+def test_builder_names_the_first_fault(text, error, message):
+    with pytest.raises(error) as exc:
+        scenario_from_config(parse_config(text))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 def test_malformed_value_rejected(baseline_cfg):
@@ -375,6 +453,17 @@ def test_non_finite_float_rejected(baseline_cfg, tmp_path, capsys, key, value):
     assert main(["validate", str(path)]) == 1
     assert main(["compare", str(path)]) == 1
     assert f"{name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["ns", "ntx", "nrx"])
+def test_int_too_large_for_a_float_rejected(baseline_cfg, tmp_path, capsys, key):
+    text, hits = re.subn(rf"^{key} = .*$", f"{key} = {'9' * 400}", baseline_cfg,
+                         flags=re.M)
+    assert hits == 1
+    path = tmp_path / "huge.cfg"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"fail: {key} is too large (got 1329 bits)\n"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
