@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import math
 import os
@@ -7,13 +8,17 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qmrts import (_csvio, beamform, cli, closed_form, emit_results, experiment,
+from qmrts import (beamform, cli, closed_form, emit_results, experiment,
                    load_sweep_spec_file, run_sweep, signal_chain)
 from qmrts.cli import main
 from qmrts.experiment import SweepSpec
 from conftest import BASELINE_CFG
+from golden.regen import CASES, NUMPY_VERSION, write_configs
+
+GOLDEN_NUMPY = NUMPY_VERSION.read_text(encoding="utf-8").strip()
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -262,8 +267,8 @@ def test_sweep_prints_near_field_warning(tmp_path, capsys):
 
 def test_simulate_prints_each_line_once_to_a_file(tmp_path):
     # Redirected stdout is block-buffered, so a warning printed before the
-    # dumps still sits in the buffer when the CSV writer forks; the forked
-    # writer must not flush a copy of it.
+    # dumps still sits in the buffer while they are written; it must reach
+    # the file once.
     cfg = tmp_path / "near.cfg"
     cfg.write_text(BASELINE_CFG.replace("rc_m = 1.0", "rc_m = 0.05"))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -279,49 +284,53 @@ def test_simulate_prints_each_line_once_to_a_file(tmp_path):
     assert len(lines) == len(set(lines))
 
 
-@pytest.mark.parametrize("half", ["parent", "child"])
-def test_dump_error_exits_2_from_either_half(cfg_path, tmp_path, capsys, monkeypatch, half):
-    # A formatting error in either half of the forked writer reaches the
-    # command as itself, so the exit code does not depend on which half
-    # failed.  The first half fails in the parent process; the second
-    # fails on the range dump's last element, (1, 3) of the 2x4 board, in
-    # whichever process formats it.
-    parent, rows = os.getpid(), _csvio._rows
+# SHA-256 of each dump of the golden simulate-sinc-pad4 case (--zero-pad 4
+# on the example config), as written under the pinned numpy.
+PAD4_DUMPS = {
+    "range_spectrum.csv": "ad5a42870c8fb41337952e34c2cc48ac21322936d895d58d0192d40b12129bcc",
+    "angle_spectrum.csv": "6a0d3d4000253bd3d16be48b0cf6002fd8697883c75bd5a97fd80e46ca79bc9a",
+    "closed_form_spectrum.csv":
+        "800d5dcff77c9019f9f5fc1838dc0371ee7bec665468e0580da2ae6ff7a2c270",
+}
 
-    def failing_rows(blocks, write):
-        if half == "parent":
-            fails = os.getpid() == parent
-        else:
-            fails = any(cols[0].ndim == 0 and [c.item() for c in cols[:2]] == [1, 3]
-                        for cols, _ in blocks)
-        if fails:
-            raise ValueError("a cell failed to format")
-        rows(blocks, write)
 
-    monkeypatch.setattr(_csvio, "_rows", failing_rows)
+def test_simulate_dumps_are_written_without_fork(tmp_path, monkeypatch):
+    # Every dump is written by the command's own process: a fork raises.
+    if np.__version__ != GOLDEN_NUMPY:
+        pytest.skip(f"digests pinned under numpy {GOLDEN_NUMPY}, not {np.__version__}")
+
+    def no_fork():
+        raise AssertionError("a CSV dump forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    write_configs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(CASES["simulate-sinc-pad4"][0]) == 0
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in PAD4_DUMPS} == PAD4_DUMPS
+
+
+class Unformattable:
+    """A cell whose str() raises."""
+
+    def __str__(self):
+        raise ValueError("a cell failed to format")
+
+
+def test_dump_error_exits_2(cfg_path, tmp_path, capsys, monkeypatch):
+    # The range dump's last element, (1, 3) of the 2x4 board, gets a bin
+    # column that fails to format.
+    write_blocks = signal_chain.write_blocks
+
+    def failing_write_blocks(path, names, segments):
+        segments = list(segments)
+        bins = segments[-1][2]
+        segments[-1][2] = np.full(len(bins), Unformattable(), dtype=object)
+        write_blocks(path, names, segments)
+
+    monkeypatch.setattr(signal_chain, "write_blocks", failing_write_blocks)
     assert main(["simulate", str(cfg_path), str(tmp_path / "out")]) == 2
     assert "error: a cell failed to format\n" in capsys.readouterr().err
-
-
-def test_dump_error_only_in_child_is_written_in_process(cfg_path, tmp_path, monkeypatch):
-    # The parent formats the second half itself when the child fails, so
-    # the command succeeds with the bytes one process writes.
-    if not _csvio._can_split():
-        pytest.skip("the split needs os.fork and a second CPU")
-    with monkeypatch.context() as m:
-        m.setattr(_csvio, "_can_split", lambda: False)
-        assert main(["simulate", str(cfg_path), str(tmp_path / "one")]) == 0
-    parent, rows = os.getpid(), _csvio._rows
-
-    def failing_rows(blocks, write):
-        if os.getpid() != parent:
-            raise ValueError("a cell failed to format")
-        rows(blocks, write)
-
-    monkeypatch.setattr(_csvio, "_rows", failing_rows)
-    assert main(["simulate", str(cfg_path), str(tmp_path / "split")]) == 0
-    for name in ("range_spectrum.csv", "angle_spectrum.csv", "closed_form_spectrum.csv"):
-        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_sweep_requires_section(cfg_path, tmp_path, capsys):
