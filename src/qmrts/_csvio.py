@@ -8,13 +8,17 @@ would need quoting is refused.
 Rows are formatted and written one block of at most 4096 rows at a
 time, by the calling process: each block is one "%" call, its row
 template repeated once per row and applied to the block's cells in row
-order.  No child process and no temporary file is made.
+order.  Each file is written to a sibling and renamed over its path once
+complete (write_blocks), so a failed write leaves no partial file; a
+symlink, pipe or device is written through.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -56,12 +60,34 @@ def write_blocks(path, names: list[str], segments) -> None:
     per row of the segment, or a scalar that fills that column of the
     segment.  A segment with no array has no rows.  A column's format
     follows its dtype, as in write_csv, which checks string cells.
+
+    The rows go to path's sibling "<name>.part", renamed to path on
+    success and removed on any exception, which is raised again, so a
+    file already at path stays as it was.  A path that is a symlink, a
+    pipe or a device (/dev/stdout, say) is written through instead, as
+    a rename would replace it.
     """
-    with open(path, "wb") as fh:
-        fh.write((",".join(names) + "\n").encode("utf-8"))
-        for cols in segments:
-            for text in _rows([np.asarray(c) for c in cols]):
-                fh.write(text.encode("utf-8"))
+    path = Path(path)
+    if path.is_symlink() or path.exists() and not path.is_file():
+        with open(path, "wb") as fh:
+            _write(fh, names, segments)
+        return
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "wb") as fh:
+            _write(fh, names, segments)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def _write(fh, names: list[str], segments) -> None:
+    """Write the header names, then each segment's rows, to fh."""
+    fh.write((",".join(names) + "\n").encode("utf-8"))
+    for cols in segments:
+        for text in _rows([np.asarray(c) for c in cols]):
+            fh.write(text.encode("utf-8"))
 
 
 def _rows(cols):

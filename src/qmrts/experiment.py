@@ -131,7 +131,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     Each point runs the full-array chain once (range_peak); subsets are
     cut from the same range spectrum, mirroring reprocessing of one
-    recording with different antenna selections.
+    recording with different antenna selections.  Moving the transmitter
+    can break only the +-90 deg bound, which displaced checks, and the
+    Nyquist and path checks, which range_peak makes through beat_tones;
+    either aborts the sweep naming the point.
     """
     base = spec.base
     theta_rx = base.rts.theta_rx_rad
@@ -140,7 +143,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         d = spec.d_max_m * idx / (spec.points - 1)
         try:
             point = displaced(base, d, spec.range_compensation)
-            point.validate()  # raises on an invalid point
             rspec = range_peak(point)
             for sub in spec.subsets:
                 rsub, ssub = sub.apply(rspec, point)

@@ -159,8 +159,6 @@ class Scenario:
                 if rule:
                     _check(key.removesuffix("_lambda"), getattr(self, section), *rule)
         _check("extra_return_path_m", r, "extra_return_path_m", None)
-        if not r.rc_m + r.extra_return_path_m > 0:
-            raise ValidationError("return path length must be > 0")
         if not g.step_rad > 0:
             raise ValidationError("angle_step_deg must be > 0")
         if not g.min_rad < g.max_rad:
@@ -179,7 +177,7 @@ class Scenario:
             raise ValidationError(
                 f"angle_step_deg = {math.degrees(g.step_rad):.9g} does not divide "
                 f"the angle span of {math.degrees(g.max_rad - g.min_rad):.9g} deg")
-        beat_tones(self)  # the Nyquist check
+        beat_tones(self)  # the Nyquist and path checks
 
         warnings = []
         ff = far_field_distance(self)
@@ -195,9 +193,15 @@ def beat_tones(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     constant const = fc*tau_c + f_rts*tau_rts - (B/(2T))*tau^2 [cycles],
     each (Ntx, Nrx), with tau_c = tau_tx + tau_rx the free-space round trip
     and tau = tau_c + tau_rts the total delay: the element's beat row is
-    A*exp(j*2*pi*(const + fbeat*t_n)).  The one Nyquist check: raises
+    A*exp(j*2*pi*(const + fbeat*t_n)).
+
+    The one beat-tone check, so every tone lies in (0, fs/2): raises
     ValidationError if the largest tone reaches half the sample rate, a
-    NaN delay included."""
+    NaN delay included (the Nyquist check), and then unless every one-way
+    element delay tau_tx, tau_rx is > 0 (the path check).  A path of
+    length <= 0 breaks the plane-wave model's own precondition; it occurs
+    when rc_m is shorter than the array's extent projected on an RTS
+    antenna's direction, or when extra_return_path_m cancels rc_m."""
     c, r = s.chirp, s.rts
     tau_tx, tau_rx = element_delays(s)
     tau_c = tau_tx + tau_rx
@@ -208,6 +212,11 @@ def beat_tones(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(
             f"sample rate {fs:.6g} Hz does not exceed twice the maximum beat frequency "
             f"{fb:.6g} Hz (Nyquist); increase ns or reduce delays")
+    shortest = min(np.min(tau_tx), np.min(tau_rx)) * C0
+    if not shortest > 0:
+        raise ValidationError(
+            f"rc_m = {r.rc_m:.6g} m is shorter than the array's projected extent: "
+            f"an element's one-way path is {shortest:.6g} m, not > 0")
     return fbeat, (c.fc_hz * tau_c + r.f_rts_hz * r.tau_rts_s
                    - (c.b_hz / c.t_s / 2.0) * tau**2)
 

@@ -27,8 +27,8 @@ import numpy as np
 from ._csvio import write_blocks
 from .scenario import Scenario, beat_tones
 
-# Bins kept by range_peak on each side of the elements' beat bins B*tau.
-# The power-sum peak of an unaliased tone lies within one bin of B*tau.
+# Bins kept by range_peak on each side of the elements' beat bins B*tau,
+# as slack for rounding: range_peak's proof needs none.
 PEAK_MARGIN_BINS = 4
 
 
@@ -87,7 +87,8 @@ def range_spectrum(s: Scenario, zero_pad: int = 1) -> RangeSpectrum:
 
     zero_pad must be a power of two, and is checked before anything is
     synthesized.  Raises ValidationError if any element's beat frequency
-    reaches half the sample rate.  The detection power is
+    reaches half the sample rate, or any one-way path is not > 0
+    (scenario.beat_tones).  The detection power is
     sum(|spec|^2, axis=(0, 1)), summed as the rows are made, so only one
     row of power is alive at a time.
     """
@@ -101,9 +102,8 @@ def range_spectrum(s: Scenario, zero_pad: int = 1) -> RangeSpectrum:
 def _peak_window(s: Scenario, fbeat) -> tuple[int, int]:
     """Bins [lo, hi) within PEAK_MARGIN_BINS of every element's beat bin."""
     bins = fbeat * s.chirp.t_s          # B*tau
-    n = s.chirp.ns
-    lo = min(max(math.floor(np.min(bins)) - PEAK_MARGIN_BINS, 0), n - 1)
-    hi = min(max(math.ceil(np.max(bins)) + PEAK_MARGIN_BINS + 1, lo + 1), n)
+    lo = max(math.floor(np.min(bins)) - PEAK_MARGIN_BINS, 0)
+    hi = min(math.ceil(np.max(bins)) + PEAK_MARGIN_BINS + 1, s.chirp.ns)
     return lo, hi
 
 
@@ -113,16 +113,33 @@ def range_peak(s: Scenario) -> RangeSpectrum:
     Runs the same row loop, but keeps each element's bins only in a window
     around the elements' beat bins; the whole power sum is still formed.
     The result's spectrum is that window, with first_bin its first bin, so
-    peak_bin and peak_values equal range_spectrum(s)'s bit for bit.  If
-    the power sum peaks outside the window, the whole spectrum is made
-    instead.
+    peak_bin and peak_values equal range_spectrum(s)'s bit for bit.
+
+    Why the window always holds the peak.  beat_tones puts every beat bin
+    b_e = B*tau_e in (0, Ns/2).  At integer bin k, element e's power is
+    A^2*sin^2(pi*b_e)/sin^2(pi*d/Ns), d the circular distance from k to
+    b_e: it falls as d grows, and is zero away from b_e when b_e is an
+    integer.  Let P be the power sum.
+    - Upper half.  For k > Ns/2, the mirror bin Ns - k is no farther from
+      any b_e, since 0 <= b_e <= Ns/2.  So P(Ns - k) >= P(k), and
+      np.argmax takes the first index, Ns - k, on a tie.
+    - Lower half.  Below floor(min b_e), every element is strictly nearer
+      to floor(min b_e); between ceil(max b_e) and Ns/2, every element is
+      strictly nearer to ceil(max b_e).  So P is larger at that bin: an
+      element with a non-integer b_e gains, and if every b_e is an
+      integer, one of them lies on that bin.
+    So the argmax lies in [floor(min b_e), ceil(max b_e)] with no margin.
+    PEAK_MARGIN_BINS covers rounding only.  The window's ends are floor
+    and ceil of the rounded products fbeat*t_s, a few ulps from b_e.  The
+    computed power sum is off from P by rounding: per element, machine
+    epsilon times the phases in cycles, times A^2*Ns^2.  A bin 5 or more
+    bins beyond that range trails the peak by a sizeable fraction of
+    A^2*Ns^2: below the range, the tone at min b_e alone puts its nearest
+    bin 0.39*A^2*Ns^2 or more above it.
     """
     fbeat, const = beat_tones(s)
     lo, hi = _peak_window(s, fbeat)
-    r = _range_bins(s, fbeat, const, s.chirp.ns, lo, hi)
-    if not lo <= r.peak_bin < hi:
-        return range_spectrum(s)
-    return r
+    return _range_bins(s, fbeat, const, s.chirp.ns, lo, hi)
 
 
 def bin_phase_frequency_scale(s: Scenario) -> float:

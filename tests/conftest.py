@@ -189,6 +189,13 @@ def reference_beat(s: Scenario) -> np.ndarray:
                                                          + fbeat[:, :, None] * t[None, None, :])))
 
 
+class Unformattable:
+    """A cell whose str() raises."""
+
+    def __str__(self):
+        raise ValueError("a cell failed to format")
+
+
 def wrap_phase(x: float) -> float:
     """Wrap to (-pi, pi]."""
     return -((-x + math.pi) % (2.0 * math.pi) - math.pi)

@@ -15,7 +15,7 @@ from qmrts import (beamform, cli, closed_form, emit_results, experiment,
                    load_sweep_spec_file, run_sweep, signal_chain)
 from qmrts.cli import main
 from qmrts.experiment import SweepSpec
-from conftest import BASELINE_CFG
+from conftest import BASELINE_CFG, Unformattable
 from golden.regen import CASES, NUMPY_VERSION, write_configs
 
 GOLDEN_NUMPY = NUMPY_VERSION.read_text(encoding="utf-8").strip()
@@ -134,6 +134,17 @@ BROKEN_CONFIGS = {
     "no-rts-section": (BASELINE_CFG[:BASELINE_CFG.index("[rts]")]
                        + BASELINE_CFG[BASELINE_CFG.index("[grid]"):],
                        "missing section [rts]"),
+    # rc_m = 1 mm against a 4x16 board 8 lambda apart at -90 deg: most
+    # element paths are negative, where compare's full chain used to read
+    # +77.015708 deg against -90 deg for the other levels.
+    "element-path-behind-the-antenna": (
+        BASELINE_CFG.replace("b_hz = 1e9", "b_hz = 4e9").replace("ns = 1024", "ns = 64")
+        .replace("ntx = 2", "ntx = 4").replace("nrx = 4", "nrx = 16")
+        .replace("dtx_lambda = 2.0", "dtx_lambda = 8.0").replace("rc_m = 1.0", "rc_m = 0.001")
+        .replace("theta_rx_deg = 0.0", "theta_rx_deg = -90")
+        .replace("theta_tx_deg = 2.0", "theta_tx_deg = -90"),
+        "rc_m = 0.001 m is shorter than the array's projected extent: "
+        "an element's one-way path is -0.0924418 m, not > 0"),
 }
 
 
@@ -310,13 +321,6 @@ def test_simulate_dumps_are_written_without_fork(tmp_path, monkeypatch):
             for name in PAD4_DUMPS} == PAD4_DUMPS
 
 
-class Unformattable:
-    """A cell whose str() raises."""
-
-    def __str__(self):
-        raise ValueError("a cell failed to format")
-
-
 def test_dump_error_exits_2(cfg_path, tmp_path, capsys, monkeypatch):
     # The range dump's last element, (1, 3) of the 2x4 board, gets a bin
     # column that fails to format.
@@ -331,6 +335,9 @@ def test_dump_error_exits_2(cfg_path, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(signal_chain, "write_blocks", failing_write_blocks)
     assert main(["simulate", str(cfg_path), str(tmp_path / "out")]) == 2
     assert "error: a cell failed to format\n" in capsys.readouterr().err
+    # The range dump is the first file written: neither it nor its
+    # sibling "range_spectrum.csv.part" is left.
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_sweep_requires_section(cfg_path, tmp_path, capsys):

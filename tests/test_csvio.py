@@ -10,12 +10,14 @@ what its row template cannot express.
 import csv
 import io
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import Unformattable
 from golden.regen import CASES, write_configs
 from qmrts import beamformer, closed_form, signal_chain
 from qmrts._csvio import _BLOCK_ROWS, magnitude_db, write_blocks, write_csv
@@ -142,6 +144,41 @@ def test_write_blocks_matches_reference_of_the_joined_rows(tmp_path_factory, seg
     path = tmp_path_factory.mktemp("blocks") / "t.csv"
     write_blocks(path, ["x", "k", "s"], segs)
     assert path.read_bytes() == reference_csv(joined(["x", "k", "s"], segs))
+    assert list(path.parent.iterdir()) == [path]      # no sibling left
+
+
+def test_failed_write_leaves_the_old_file_and_no_sibling(tmp_path):
+    # The first segment, two blocks long, is written to the sibling before
+    # the second segment's cell fails to format.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"x\n1\n")
+    segments = [[np.arange(_BLOCK_ROWS + 1.0)],
+                [np.full(1, Unformattable(), dtype=object)]]
+    with pytest.raises(ValueError, match="a cell failed to format"):
+        write_blocks(path, ["x"], segments)
+    assert path.read_bytes() == b"x\n1\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_pipe_and_symlink_are_written_through(tmp_path):
+    # A rename would replace the pipe or the link, as it would /dev/stdout,
+    # instead of writing to it.
+    want = reference_csv({"x": [1.0, 2.0]})
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_csv(pipe, {"x": [1.0, 2.0]})
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert got == want and pipe.is_fifo()
+    target, link = tmp_path / "t.csv", tmp_path / "link.csv"
+    target.write_bytes(b"x\n1\n")
+    link.symlink_to(target)
+    write_csv(link, {"x": [1.0, 2.0]})
+    assert link.is_symlink() and target.read_bytes() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "pipe", "t.csv"]
 
 
 def test_magnitude_db_is_per_element_math_log10():

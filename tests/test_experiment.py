@@ -10,6 +10,7 @@ from qmrts import (AntennaSubset, ConfigError, ValidationError,
                    bin_phase_frequency_scale, emit_results, range_peak,
                    rts_displacement, run_sweep)
 from qmrts.experiment import SweepSpec, displaced, load_sweep_spec
+from qmrts.propagation import C0
 from conftest import build_scenario
 
 DEG = math.degrees
@@ -247,6 +248,13 @@ def test_per_point_error_identifies_point():
                      range_compensation=True)
     object.__setattr__(spec, "d_max_m", 0.9)
     with pytest.raises(RuntimeError, match="sweep aborted at point 1"):
+        run_sweep(spec)
+    # A tone a twentieth of a bin under Nyquist at d = 0: range compensation
+    # lengthens the return leg of later points by tenths of a bin, so point
+    # 1 crosses it, which range_peak's beat_tones names.
+    tau_rts = (1024 / 2 - 0.05) / 1e9 - 2.0 / C0
+    spec = small_spec(points=3, d_max=0.5, tau_rts_s=tau_rts)
+    with pytest.raises(RuntimeError, match=r"sweep aborted at point 1 .*\(Nyquist\)"):
         run_sweep(spec)
 
 

@@ -260,6 +260,30 @@ def test_far_field_violation_is_warning_not_error():
     assert build_scenario(rc_m=1.0).validate() == []
 
 
+# A 4x16 board 8 lambda apart at -90 deg: the TX array reaches 24 lambda
+# (93 mm) toward the RTS antenna, the RX array 7.5 lambda (29 mm).
+BEHIND = dict(ntx=4, nrx=16, dtx_lambda=8.0, b_hz=4e9, ns=64,
+              theta_rx_deg=-90.0, theta_tx_deg=-90.0)
+
+
+def test_element_paths_must_be_positive():
+    # rc_m = 1 mm is shorter than the projected extent, so most elements
+    # have a one-way path <= 0; every tone still passes the Nyquist check.
+    with pytest.raises(ValidationError, match="^rc_m = 0.001 m is shorter"):
+        build_scenario(**BEHIND, rc_m=0.001)
+    # Near field with every path positive still loads, with the warning.
+    warnings = build_scenario(**BEHIND, rc_m=0.1).validate()
+    assert len(warnings) == 1 and "far-field" in warnings[0]
+
+
+def test_return_leg_cancelled_by_extra_path_is_rejected(boresight):
+    # Element (0, 0)'s return leg is rc_m + extra_return_path_m = 0.
+    bad = replace(boresight, rts=replace(boresight.rts,
+                                         extra_return_path_m=-boresight.rts.rc_m))
+    with pytest.raises(ValidationError, match="one-way path is 0 m, not > 0"):
+        bad.validate()
+
+
 def test_displacement_coincident_is_zero():
     assert rts_displacement(build_scenario()) == 0.0
     s = build_scenario(theta_rx_deg=17.0, theta_tx_deg=17.0)
@@ -403,11 +427,12 @@ angle_step_deg = {step!r}
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(scenario_configs())
 def test_valid_range_config_is_loaded_or_rejected(text):
-    # Every key lies in its valid range, so only a scenario invariant
-    # (a beat tone past Nyquist, say) may refuse the document.
+    # Every key lies in its valid range, so only the beat-tone check (a
+    # tone past Nyquist, or an element path <= 0) may refuse the document.
     try:
         s = load_scenario(text)
-    except ValidationError:
+    except ValidationError as exc:
+        assert re.search(r"\(Nyquist\)|one-way path .* not > 0", str(exc)), exc
         return
     assert isinstance(s.validate(), list)
 

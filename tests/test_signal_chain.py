@@ -332,22 +332,39 @@ def test_tone_phase_gradient_runs_at_the_scaled_frequency():
     assert np.all(np.abs(at_fc) > 1e-3)
 
 
-def test_range_peak_falls_back_when_the_window_misses(boresight, monkeypatch):
-    # The boresight tone peaks at bin 7; a window of bins 0-2 misses it,
-    # so the whole spectrum is made in a second pass.
-    calls = []
+@st.composite
+def beat_bin_sets(draw):
+    """(Ns, beat bins): 1-64 bins in [0, Ns/2), drawn from one to three
+    kinds, so one set can mix them: exactly 0, integers, within a bin of 0
+    or of Nyquist, within 3 bins of a centre, or anywhere."""
+    ns = draw(st.integers(2, 2048))
+    half = ns / 2
+    centre = draw(st.floats(0.0, half, exclude_max=True))
+    kinds = [st.just(0.0),
+             st.integers(0, math.ceil(half) - 1).map(float),
+             st.floats(0.0, min(1.0, half), exclude_max=True),
+             st.floats(max(half - 1.0, 0.0), half, exclude_max=True),
+             st.floats(max(centre - 3.0, 0.0), min(centre + 3.0, half), exclude_max=True),
+             st.floats(0.0, half, exclude_max=True)]
+    chosen = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3, unique=True))
+    size = draw(st.integers(1, 64))
+    return ns, np.array(draw(st.lists(st.one_of(chosen), min_size=size, max_size=size)))
 
-    def spy(s, zero_pad=1):
-        calls.append((s, zero_pad))
-        return range_spectrum(s, zero_pad)
-    monkeypatch.setattr(signal_chain, "_peak_window", lambda s, fbeat: (0, 3))
-    monkeypatch.setattr(signal_chain, "range_spectrum", spy)
-    r = range_peak(boresight)
-    assert calls == [(boresight, 1)]
-    want = range_spectrum(boresight)
-    assert_same_peak(r, want)
-    assert r.first_bin == 0
-    assert np.array_equal(bits(r.spectrum), bits(want.spectrum))
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(beat_bin_sets())
+def test_power_sum_peaks_inside_the_peak_window(boresight, ns_bins):
+    # range_peak's lemma: with every beat bin in [0, Ns/2), the argmax of
+    # the power sum over unit tones lies in [floor(min), ceil(max)], so in
+    # _peak_window's bins, whatever the rounding of the transforms.
+    ns, bins = ns_bins
+    s = replace(boresight, chirp=replace(boresight.chirp, t_s=1.0, ns=ns))
+    lo, hi = signal_chain._peak_window(s, bins)     # bins = fbeat*t_s exactly
+    n = np.arange(ns)
+    rows = np.exp(2j * np.pi * np.outer(bins, n) / ns)
+    peak = int(np.argmax(np.sum(np.abs(np.fft.fft(rows, axis=1)) ** 2, axis=0)))
+    assert math.floor(bins.min()) <= peak <= math.ceil(bins.max())
+    assert 0 <= lo <= peak < hi <= ns
 
 
 def test_csv_dump_of_a_window_writes_absolute_bins(tmp_path, baseline):
