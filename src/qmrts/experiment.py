@@ -15,8 +15,9 @@ from dataclasses import dataclass, fields, replace
 from ._csvio import write_csv
 from .beamformer import beamform
 from .closed_form import predicted_peak
-from .scenario import (ConfigError, Scenario, ValidationError, config_section,
-                       parse_config, read_config_file, scenario_from_config)
+from .scenario import (ConfigError, Scenario, ValidationError, _check_section,
+                       config_section, parse_config, read_config_file,
+                       scenario_from_config)
 from .signal_chain import RangeSpectrum, range_peak
 
 
@@ -69,12 +70,10 @@ class SweepSpec:
     range_compensation: bool
 
     def __post_init__(self):
+        _check_section("sweep", self)
         rc = self.base.rts.rc_m
-        if not 0 <= self.d_max_m < rc:
-            raise ValidationError(
-                f"d_max_m must lie in [0, rc_m) (got {self.d_max_m}, rc_m={rc})")
-        if self.points < 2:
-            raise ValidationError(f"points must be >= 2 (got {self.points})")
+        if not self.d_max_m < rc:
+            raise ValidationError(f"d_max_m must be < rc_m (got {self.d_max_m}, rc_m={rc})")
         labels = [sub.label for sub in self.subsets]
         if not labels:
             raise ValidationError("at least one antenna subset is required")

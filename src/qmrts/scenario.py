@@ -95,6 +95,13 @@ STEP_RTOL = 1e-9
 # resolve angles the closed form cannot.
 FINE_STEP_DEG = 0.001
 
+# Largest range spectrum a command may hold [bytes]: Ntx*Nrx*Ns*zero_pad
+# complex values, the spectrum simulate dumps.  Scenario.validate checks
+# it at zero_pad 1, and range_spectrum at its own, before anything is
+# allocated.  16 times the largest board the tests and the benchmark run
+# (4x16 at Ns 16384, 16 MiB).
+MAX_SPECTRUM_BYTES = 2**28
+
 
 @dataclass(frozen=True)
 class AngleGrid:
@@ -153,23 +160,12 @@ class Scenario:
         advisory so the violation regime can still be studied).
         """
         r, g = self.rts, self.grid
-        # Each key's bound in table order, then cross-field checks; NaN fails each.
-        for section, keys in _SCHEMA.items():
-            for key, (_, _, *rule) in keys.items():
-                if rule:
-                    _check(key.removesuffix("_lambda"), getattr(self, section), *rule)
-        _check("extra_return_path_m", r, "extra_return_path_m", None)
-        if not g.step_rad > 0:
-            raise ValidationError("angle_step_deg must be > 0")
+        # Each key's bound in table order, then cross-key checks; NaN fails each.
+        for name, part in vars(self).items():
+            _check_section(name, part)
+        _check("extra_return_path_m", r, "extra_return_path_m", (">=", 0))
         if not g.min_rad < g.max_rad:
             raise ValidationError("angle_min_deg must be < angle_max_deg")
-        eps = 1e-12
-        if not (g.min_rad >= -math.pi / 2 - eps and g.max_rad <= math.pi / 2 + eps):
-            raise ValidationError("angle grid must lie within [-90, 90] deg")
-        if not g.step_rad >= math.radians(FINE_STEP_DEG):
-            raise ValidationError(
-                f"angle_step_deg = {math.degrees(g.step_rad):.9g} is finer than "
-                f"the {FINE_STEP_DEG} deg closed-form search grid")
         # A step that does not divide the span would be silently changed
         # by linspace to fit.
         steps = (g.max_rad - g.min_rad) / g.step_rad
@@ -177,6 +173,7 @@ class Scenario:
             raise ValidationError(
                 f"angle_step_deg = {math.degrees(g.step_rad):.9g} does not divide "
                 f"the angle span of {math.degrees(g.max_rad - g.min_rad):.9g} deg")
+        _check_spectrum_bytes(self)
         beat_tones(self)  # the Nyquist and path checks
 
         warnings = []
@@ -232,9 +229,9 @@ def _parse_bool(raw: str) -> bool:
 
 
 # Config schema: section -> key -> (converter, default[, field, bound]).
-# A scenario key also names the Scenario field it fills and its bound
-# (see _check); a spacing pair carries both on its _lambda key, and each
-# key of the pair defaults to None (absent): exactly one must be given.
+# A bounded key also names the field it fills, of a Scenario part or of
+# SweepSpec, and its bound (see _check); a spacing pair carries both on
+# its _lambda key, and exactly one key of the pair is given (else None).
 _SCHEMA = {
     "chirp": {"fc_hz": (float, REQUIRED, "fc_hz", (">", 0)),
               "b_hz": (float, REQUIRED, "b_hz", (">", 0)),
@@ -249,10 +246,11 @@ _SCHEMA = {
             "tau_rts_s": (float, 0.0, "tau_rts_s", (">=", 0)),
             "f_rts_hz": (float, 0.0, "f_rts_hz", (">=", 0)),
             "amplitude": (float, 1.0, "amplitude", (">", 0))},
-    "grid": {"angle_min_deg": (float, -90.0, "min_rad", None),
-             "angle_max_deg": (float, 90.0, "max_rad", None),
-             "angle_step_deg": (float, 0.01, "step_rad", None)},
-    "sweep": {"d_max_m": (float, 0.1), "points": (int, 51),
+    "grid": {"angle_min_deg": (float, -90.0, "min_rad", "deg"),
+             "angle_max_deg": (float, 90.0, "max_rad", "deg"),
+             "angle_step_deg": (float, 0.01, "step_rad", (">=", math.radians(FINE_STEP_DEG)))},
+    "sweep": {"d_max_m": (float, 0.1, "d_max_m", (">=", 0)),
+              "points": (int, 51, "points", (">=", 2)),
               "subsets": (str, "2x4, 2x2, 1x4"),
               "range_compensation": (_parse_bool, True)},
 }
@@ -260,21 +258,44 @@ _SCHEMA = {
 
 def _check(name: str, part, field: str, bound) -> None:
     """Raise ValidationError naming name unless part.field is finite and in
-    bound: (">", low), (">=", low), "deg" for a radian angle in [-90, 90]
-    deg, or None.  NaN fails every test, as does an int too big for a float."""
+    bound: (">", low), (">=", low) or "deg" for a radian angle in [-90, 90]
+    deg.  A *_deg name's value and bound are shown in degrees.  NaN fails
+    every test, as does an int too big for a float."""
     value = getattr(part, field)
     try:
         float(value)
     except OverflowError:
         raise ValidationError(f"{name} is too large (got {value.bit_length()} bits)") from None
+    show = math.degrees if name.endswith("_deg") else (lambda x: x)
     if not -math.inf < value < math.inf:
-        raise ValidationError(f"{name} must be finite (got {value})")
+        raise ValidationError(f"{name} must be finite (got {show(value)})")
     if bound == "deg" and not -math.pi / 2 <= value <= math.pi / 2:
-        raise ValidationError(f"{name} out of [-90, 90] (got {math.degrees(value)})")
+        raise ValidationError(f"{name} out of [-90, 90] (got {show(value)})")
     if isinstance(bound, tuple):
         op, low = bound
         if not (value > low if op == ">" else value >= low):
-            raise ValidationError(f"{name} must be {op} {low} (got {value})")
+            raise ValidationError(f"{name} must be {op} {show(low)} (got {show(value)})")
+
+
+def _check_section(section: str, part) -> None:
+    """_check each bounded key of _SCHEMA[section] on part, in table order."""
+    for key, (_, _, *rule) in _SCHEMA[section].items():
+        if rule:
+            _check(key.removesuffix("_lambda"), part, *rule)
+
+
+def _check_spectrum_bytes(s: Scenario, zero_pad: int = 1) -> None:
+    """Raise ValidationError naming the keys unless s's range spectrum,
+    Ntx*Nrx*Ns*zero_pad complex values, fits MAX_SPECTRUM_BYTES."""
+    a, ns = s.array, s.chirp.ns
+    size = 16 * a.ntx * a.nrx * ns * zero_pad
+    if not size <= MAX_SPECTRUM_BYTES:
+        keys, counts = "ntx*nrx*ns", f"{a.ntx}*{a.nrx}*{ns}"
+        if zero_pad > 1:
+            keys, counts = f"{keys}*zero_pad", f"{counts}*{zero_pad}"
+        raise ValidationError(
+            f"{keys} = {counts} complex values take {size} bytes, over the "
+            f"{MAX_SPECTRUM_BYTES}-byte range-spectrum budget")
 
 
 def _parse_error(exc: configparser.Error) -> ConfigError:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import write_blocks
-from .scenario import Scenario, beat_tones
+from .scenario import Scenario, _check_spectrum_bytes, beat_tones
 
 # Bins kept by range_peak on each side of the elements' beat bins B*tau,
 # as slack for rounding: range_peak's proof needs none.
@@ -85,15 +85,17 @@ def range_spectrum(s: Scenario, zero_pad: int = 1) -> RangeSpectrum:
     row gets an unwindowed forward DFT of Ns*zero_pad points, so the
     expected peak bin is round(B*tau*zero_pad) for an unaliased tone.
 
-    zero_pad must be a power of two, and is checked before anything is
-    synthesized.  Raises ValidationError if any element's beat frequency
-    reaches half the sample rate, or any one-way path is not > 0
+    zero_pad must be a power of two, and the spectrum must fit
+    MAX_SPECTRUM_BYTES (a ValidationError); both are checked before
+    anything is synthesized.  Raises ValidationError if any element's beat
+    frequency reaches half the sample rate, or any one-way path is not > 0
     (scenario.beat_tones).  The detection power is
     sum(|spec|^2, axis=(0, 1)), summed as the rows are made, so only one
     row of power is alive at a time.
     """
     if zero_pad < 1 or zero_pad & (zero_pad - 1):
         raise ValueError(f"zero_pad must be a power of two (got {zero_pad})")
+    _check_spectrum_bytes(s, zero_pad)
     fbeat, const = beat_tones(s)
     n = s.chirp.ns * zero_pad
     return _range_bins(s, fbeat, const, n, 0, n)

@@ -345,6 +345,39 @@ def test_sweep_requires_section(cfg_path, tmp_path, capsys):
     assert "[sweep]" in capsys.readouterr().err
 
 
+def test_sweep_points_too_large_for_a_float_exits_1(cfg_path, tmp_path, capsys):
+    # Unchecked, points reached run_sweep's displacement arithmetic and
+    # ended in an OverflowError traceback.
+    cfg_path.write_text(BASELINE_CFG + f"\n[sweep]\npoints = {'9' * 400}\n")
+    assert main(["sweep", str(cfg_path), str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "error: points is too large (got 1329 bits)\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+# A child that caps its own address space at 2 GiB, then runs the CLI on
+# its arguments.  The cap is set in the child itself, not by preexec_fn,
+# because this process holds numpy's BLAS threads.
+CAPPED_CLI = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+              "from qmrts.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("command, prefix", [("validate", "fail"), ("compare", "error")])
+def test_over_budget_config_exits_1_under_a_memory_cap(tmp_path, command, prefix):
+    # 1e8 TX elements: without the budget, validate asked numpy for 2.98 GiB
+    # of element delays and exited 2 under this cap.
+    path = tmp_path / "huge.cfg"
+    path.write_text(BASELINE_CFG.replace("ntx = 2", "ntx = 100000000"))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, command, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"{prefix}: ntx*nrx*ns = 100000000*4*1024 complex values take 6553600000000 "
+        "bytes, over the 268435456-byte range-spectrum budget\n")
+
+
 def test_compare_boresight_all_zero(tmp_path, capsys):
     path = tmp_path / "bore.cfg"
     path.write_text(BASELINE_CFG.replace("theta_tx_deg = 2.0",

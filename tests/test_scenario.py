@@ -76,9 +76,12 @@ def test_readme_config_matches_schema():
         else:
             assert default is REQUIRED or default is None, f"no default noted: {line}"
         # A key with a bound shows it, as the bound's own text; others show none.
-        marks = re.findall(r"\(>=? \d+\)|\[-90, 90\]|\(finite\)", line)
+        # A *_deg key's bound is shown in degrees.
+        marks = re.findall(r"\(>=? [\d.]+\)|\[-90, 90\]|\(finite\)", line)
         if rule:
             bound = rule[1]
+            if isinstance(bound, tuple) and key.endswith("_deg"):
+                bound = (bound[0], math.degrees(bound[1]))
             assert marks == ["(finite)" if bound is None else "[-90, 90]" if bound == "deg"
                              else "({} {})".format(*bound)], line
         else:
@@ -121,6 +124,11 @@ BOUND_MESSAGES = [   # (line of BASELINE_CFG, its violating form, whole message)
     ("tau_rts_s = 0.0", "tau_rts_s = -1e-9", "tau_rts_s must be >= 0 (got -1e-09)"),
     ("f_rts_hz = 500e6", "f_rts_hz = -1", "f_rts_hz must be >= 0 (got -1.0)"),
     ("amplitude = 1.0", "amplitude = 0", "amplitude must be > 0 (got 0.0)"),
+    ("angle_min_deg = -90", "angle_min_deg = -91", "angle_min_deg out of [-90, 90] (got -91.0)"),
+    ("angle_max_deg = 90", "angle_max_deg = 90.5", "angle_max_deg out of [-90, 90] (got 90.5)"),
+    ("angle_step_deg = 0.01", "angle_step_deg = 0", "angle_step_deg must be >= 0.001 (got 0.0)"),
+    ("angle_step_deg = 0.01", "angle_step_deg = 0.0005",
+     "angle_step_deg must be >= 0.001 (got 0.0005)"),
 ]
 
 
@@ -130,6 +138,22 @@ def test_bound_message_is_whole(baseline_cfg, old, new, message):
     assert old in baseline_cfg
     with pytest.raises(ValidationError) as exc:
         load_scenario(baseline_cfg.replace(old, new))
+    assert str(exc.value) == message
+
+
+SWEEP_BOUND_MESSAGES = [   # ([sweep] line, whole message)
+    ("points = 1", "points must be >= 2 (got 1)"),
+    ("d_max_m = -0.01", "d_max_m must be >= 0 (got -0.01)"),
+    ("d_max_m = nan", "d_max_m must be finite (got nan)"),
+    ("d_max_m = 1.0", "d_max_m must be < rc_m (got 1.0, rc_m=1.0)"),
+]
+
+
+@pytest.mark.parametrize("line, message", SWEEP_BOUND_MESSAGES,
+                         ids=[line.replace(" = ", "=") for line, _ in SWEEP_BOUND_MESSAGES])
+def test_sweep_bound_message_is_whole(baseline_cfg, line, message):
+    with pytest.raises(ValidationError) as exc:
+        load_sweep_spec(f"{baseline_cfg}\n[sweep]\n{line}\n")
     assert str(exc.value) == message
 
 
@@ -280,8 +304,9 @@ def test_return_leg_cancelled_by_extra_path_is_rejected(boresight):
     # Element (0, 0)'s return leg is rc_m + extra_return_path_m = 0.
     bad = replace(boresight, rts=replace(boresight.rts,
                                          extra_return_path_m=-boresight.rts.rc_m))
-    with pytest.raises(ValidationError, match="one-way path is 0 m, not > 0"):
+    with pytest.raises(ValidationError) as exc:
         bad.validate()
+    assert str(exc.value) == "extra_return_path_m must be >= 0 (got -1.0)"
 
 
 def test_displacement_coincident_is_zero():
@@ -368,22 +393,33 @@ FLOAT_KEYS = tuple(key for section, key in SCENARIO_KEYS
                    if _SCHEMA[section][key][0] is float and len(_SCHEMA[section][key]) == 4)
 
 
-@pytest.mark.parametrize("section, key", SCENARIO_KEYS, ids=[k for _, k in SCENARIO_KEYS])
+# With the bounded [sweep] keys, which load_sweep_spec checks on SweepSpec.
+BOUNDED_KEYS = SCENARIO_KEYS + [("sweep", key) for key, entry in _SCHEMA["sweep"].items()
+                                if len(entry) == 4]
+
+
+@pytest.mark.parametrize("section, key", BOUNDED_KEYS, ids=[k for _, k in BOUNDED_KEYS])
 def test_every_scenario_key_has_an_invariant(baseline, baseline_cfg, section, key):
     # A spacing's _m key has no bound of its own; its _lambda pair carries it.
     owner = key if len(_SCHEMA[section][key]) == 4 else key.removesuffix("_m") + "_lambda"
     _, _, field, bound = _SCHEMA[section][owner]
-    assert hasattr(getattr(baseline, section), field)
-    assert bound in (None, "deg") or (bound[0] in (">", ">=") and len(bound) == 2)
-    text, hits = re.subn(rf"^{owner} = .*$", f"{key} = nan", baseline_cfg, flags=re.M)
-    assert hits == 1
+    assert bound == "deg" or (bound[0] in (">", ">=") and len(bound) == 2)
+    if section == "sweep":
+        load = load_sweep_spec
+        assert hasattr(load(baseline_cfg + "\n[sweep]\n"), field)
+        text = f"{baseline_cfg}\n[sweep]\n{key} = nan\n"
+    else:
+        load = load_scenario
+        assert hasattr(getattr(baseline, section), field)
+        text, hits = re.subn(rf"^{owner} = .*$", f"{key} = nan", baseline_cfg, flags=re.M)
+        assert hits == 1
     if _SCHEMA[section][key][0] is float:
         name = owner.removesuffix("_lambda")
         with pytest.raises(ValidationError, match=rf"^{name} must be finite \(got nan\)$"):
-            load_scenario(text)
+            load(text)
     else:
         with pytest.raises(ConfigError, match=rf'^bad value for "{key}" in \[{section}\]'):
-            load_scenario(text)
+            load(text)
 
 
 def _finite(lo, hi):
@@ -563,9 +599,9 @@ def test_grid_step_overflow_rejected(baseline_cfg, tmp_path, capsys):
 def test_grid_step_finer_than_search_grid_rejected(baseline_cfg, tmp_path, capsys,
                                                    step):
     text = baseline_cfg.replace("angle_step_deg = 0.01", f"angle_step_deg = {step}")
-    with pytest.raises(ValidationError,
-                       match="angle_step_deg .* is finer than the 0.001 deg"):
+    with pytest.raises(ValidationError) as exc:
         load_scenario(text)
+    assert str(exc.value) == f"angle_step_deg must be >= 0.001 (got {step})"
     path = tmp_path / "fine_step.cfg"
     path.write_text(text)
     assert main(["validate", str(path)]) == 1

@@ -12,6 +12,7 @@ from qmrts import (Scenario, ValidationError, bin_phase_frequency_scale, range_p
 from qmrts import _csvio, signal_chain
 from qmrts._csvio import write_csv
 from qmrts.propagation import C0, element_delays
+from qmrts.scenario import MAX_SPECTRUM_BYTES
 from qmrts.signal_chain import PEAK_MARGIN_BINS, write_range_csv
 from conftest import (build_scenario, on_bin_tau_rts, phase_tolerance,
                       reference_beat, tone_tolerance, tone_values, wrap_phase)
@@ -189,6 +190,22 @@ def test_zero_pad_scales_bin():
     assert range_spectrum(s, zero_pad=2).peak_bin == 16
     with pytest.raises(ValueError, match=r"power of two \(got 3\)"):
         range_spectrum(s, zero_pad=3)
+
+
+def test_spectrum_budget_is_checked_before_any_row(monkeypatch):
+    # One element at the budget's whole sample count loads, a sample more
+    # does not, and zero_pad 2 on it is refused before the chain asks for
+    # its tones.
+    ns = MAX_SPECTRUM_BYTES // 16
+    s = build_scenario(ntx=1, nrx=1, ns=ns)
+    with pytest.raises(ValidationError) as exc:
+        build_scenario(ntx=1, nrx=1, ns=ns + 1)
+    assert str(exc.value) == (f"ntx*nrx*ns = 1*1*{ns + 1} complex values take "
+                              f"{16 * (ns + 1)} bytes, over the {MAX_SPECTRUM_BYTES}-byte "
+                              "range-spectrum budget")
+    monkeypatch.setattr(signal_chain, "beat_tones", None)
+    with pytest.raises(ValidationError, match=rf"^ntx\*nrx\*ns\*zero_pad = 1\*1\*{ns}\*2 "):
+        range_spectrum(s, zero_pad=2)
 
 
 def test_bin_phase_frequency_scale(boresight):
